@@ -633,16 +633,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for line in _solver_stats_lines(report):
                     print(line)
             if getattr(args, "replay", "off") == "on" and not report.safe:
-                from repro.replay import replay_source, summarize_replays
+                from repro.replay import (
+                    replay_source,
+                    skipped_traces,
+                    summarize_replays,
+                )
 
                 summary = summarize_replays(
-                    replay_source(source, report, filename=str(path))
+                    replay_source(source, report, filename=str(path)),
+                    skipped=skipped_traces(report.bmc.all_counterexamples()),
                 )
-                print(
+                line = (
                     f"  replay: {summary['confirmed']} confirmed, "
                     f"{summary['refuted']} refuted, "
                     f"{summary['unsupported']} unsupported"
                 )
+                if summary["skipped"]:
+                    line += f", {summary['skipped']} skipped"
+                print(line)
                 for trace in summary["traces"]:
                     line = (
                         f"    assertion {trace['assert_id']}: {trace['verdict']}"

@@ -355,9 +355,11 @@ def _run_stages(
     if getattr(websari, "replay", False) and not report.safe:
         from repro.replay import replay_for_task
 
+        # The original sources come from the parse stage's memo; patched
+        # sources stay task-local (see repro.replay.replayer._TaskParses).
         mark = clock()
         with tracer.span("replay"):
-            replay_info = replay_for_task(task, report)
+            replay_info = replay_for_task(task, report, parse_hook=do_parse)
         timings["replay"] = clock() - mark
 
     return FileOutcome(

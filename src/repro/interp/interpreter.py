@@ -12,6 +12,12 @@ by-reference parameters and ``global``), the common string/array builtin
 library, the ``mysql_*`` functions against :class:`MockDatabase`, and
 ``__webssari_sanitize`` (the runtime guard).  Execution is bounded by a
 step budget so accidental infinite loops fail loudly.
+
+Programs come from a ``parse_hook`` — any callable with the
+:func:`repro.php.parser.parse` signature, as for
+:func:`repro.php.includes.resolve_includes`.  The interpreter never reads
+spans and never mutates the (frozen) AST, so a caller that runs the same
+sources many times can hand it memoized programs.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from repro.interp.values import (
     to_string,
 )
 from repro.php import ast_nodes as ast
+from repro.php.includes import ParseHook
 from repro.php.parser import parse
 
 __all__ = ["Interpreter", "PhpRuntimeError", "PhpFatalError", "run_php"]
@@ -65,10 +72,12 @@ class Interpreter:
         environment: ExecutionEnvironment | None = None,
         max_steps: int = 1_000_000,
         files: dict[str, str] | None = None,
+        parse_hook: ParseHook | None = None,
     ) -> None:
         self.env = environment if environment is not None else ExecutionEnvironment()
         self.max_steps = max_steps
         self.files = files or {}
+        self.parse = parse_hook if parse_hook is not None else parse
         self._steps = 0
         self.globals: dict[str, object] = dict(self.env.request.superglobals())
         self.functions: dict[str, ast.FunctionDecl] = {}
@@ -78,7 +87,7 @@ class Interpreter:
     # -- top level ----------------------------------------------------------
 
     def run(self, source: str, filename: str = "<string>") -> ExecutionEnvironment:
-        program = parse(source, filename)
+        program = self.parse(source, filename)
         self._hoist_functions(program.statements)
         try:
             self._exec_all(program.statements, self.globals)
@@ -575,7 +584,7 @@ class Interpreter:
                 raise PhpFatalError(f"required file {path!r} not found")
             return False
         self._included.add(path)
-        program = parse(source, path)
+        program = self.parse(source, path)
         self._hoist_functions(program.statements)
         self._exec_all(program.statements, scope)
         return True
@@ -988,17 +997,23 @@ def run_php(
     files: dict[str, str] | None = None,
     session: dict | None = None,
     max_steps: int = 1_000_000,
+    filename: str = "<string>",
+    parse_hook: ParseHook | None = None,
 ) -> ExecutionEnvironment:
     """Execute PHP source against a simulated request; return the environment.
 
     Pass the same ``database`` and ``session`` dictionaries across calls
     to simulate a sequence of requests against one application instance.
+    ``filename`` names the entry for parsing; ``parse_hook`` parses the
+    entry and every included file (default :func:`repro.php.parser.parse`).
     """
     env = ExecutionEnvironment(request=request or HttpRequest())
     if database is not None:
         env.database = database
     if session is not None:
         env.session_store = session
-    interpreter = Interpreter(environment=env, max_steps=max_steps, files=files)
-    interpreter.run(source)
+    interpreter = Interpreter(
+        environment=env, max_steps=max_steps, files=files, parse_hook=parse_hook
+    )
+    interpreter.run(source, filename)
     return env

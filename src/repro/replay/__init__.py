@@ -25,6 +25,7 @@ from repro.replay.replayer import (
     replay_counterexamples,
     replay_for_task,
     replay_source,
+    skipped_traces,
     summarize_replays,
     synthesize_request,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "replay_source",
     "replay_for_task",
     "summarize_replays",
+    "skipped_traces",
     "synthesize_request",
     "canonical_request",
     "canonical_request_text",

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.interp.environment import HttpRequest
 from repro.interp.interpreter import PhpRuntimeError, run_php
+from repro.php.includes import ParseHook
 from repro.php.parser import parse
 from repro.replay.conditions import (
     ABSENT,
@@ -54,6 +55,7 @@ __all__ = [
     "replay_counterexamples",
     "replay_source",
     "summarize_replays",
+    "skipped_traces",
     "replay_for_task",
     "MAX_REPLAYED_TRACES",
     "REPLAY_MAX_STEPS",
@@ -180,7 +182,42 @@ def canonical_request_text(request: HttpRequest) -> str:
 # -- replay ------------------------------------------------------------------
 
 
-def _parse_tables(sources: dict[str, str]):
+class _TaskParses:
+    """Task-local parse memo: each distinct ``(text, filename)`` is parsed
+    once per replayed task, however many traces and patched re-runs use
+    it.  A parse failure is memoised as its exception and re-raised, so
+    every trace that meets it reports the same reason.
+
+    Original sources parse through ``parse_hook`` (the engine worker
+    passes its parse cache, which already holds them).  Patched sources
+    that differ from the original use the plain parser, so they never
+    reach a persistent cache.
+    """
+
+    def __init__(self, parse_hook: ParseHook | None = None) -> None:
+        self._hook = parse_hook if parse_hook is not None else parse
+        self._memo: dict[tuple[str, str], object] = {}
+
+    def original(self, text: str, filename: str):
+        return self._get(text, filename, self._hook)
+
+    def patched(self, text: str, filename: str):
+        return self._get(text, filename, parse)
+
+    def _get(self, text: str, filename: str, do_parse):
+        key = (text, filename)
+        if key not in self._memo:
+            try:
+                self._memo[key] = do_parse(text, filename)
+            except Exception as exc:  # noqa: BLE001 - re-raised to each caller
+                self._memo[key] = exc
+        outcome = self._memo[key]
+        if isinstance(outcome, Exception):
+            raise outcome.with_traceback(None)
+        return outcome
+
+
+def _parse_tables(sources: dict[str, str], do_parse: ParseHook):
     """Span→condition table plus input-key inventory over all files.
 
     Files that fail to parse contribute nothing (their branch conditions
@@ -189,25 +226,13 @@ def _parse_tables(sources: dict[str, str]):
     input_keys: dict[tuple[str, str], None] = {}
     for filename, text in sources.items():
         try:
-            program = parse(text, filename)
+            program = do_parse(text, filename)
         except Exception:  # noqa: BLE001 - degrade, never crash the audit
             continue
         table.update(index_conditions(program))
         for slot in collect_input_keys(program):
             input_keys.setdefault(slot, None)
     return table, list(input_keys)
-
-
-def _run(source, request, files, database, session, max_steps):
-    include_files = {k: v for k, v in files.items()} if files else None
-    return run_php(
-        source,
-        request=request,
-        database=database,
-        files=include_files,
-        session=session,
-        max_steps=max_steps,
-    )
 
 
 def _patched_sources(sources: dict[str, str], grouping) -> dict[str, str]:
@@ -230,6 +255,7 @@ def replay_counterexamples(
     session=None,
     max_steps: int = REPLAY_MAX_STEPS,
     max_traces: int = MAX_REPLAYED_TRACES,
+    parse_hook: ParseHook | None = None,
 ) -> list[ReplayResult]:
     """Replay counterexample traces of one verified entry.
 
@@ -238,10 +264,12 @@ def replay_counterexamples(
     the patched re-run is attempted for confirmed traces.  Pass a shared
     ``database``/``session`` to replay against accumulated application
     state (stored-taint scenarios); by default each trace runs against a
-    fresh environment.
+    fresh environment.  Every source is parsed once for the whole call;
+    ``parse_hook`` (default :func:`repro.php.parser.parse`) parses the
+    original sources.
     """
-    condition_table, input_keys = _parse_tables(sources)
-    entry_source = sources[entry]
+    parses = _TaskParses(parse_hook)
+    condition_table, input_keys = _parse_tables(sources, parses.original)
     include_files = {k: v for k, v in sources.items() if k != entry} or None
     patched: dict[str, str] | None = None
 
@@ -260,8 +288,15 @@ def replay_counterexamples(
         # scope observation to queries this run issues.
         log_start = len(database.query_log) if database is not None else 0
         try:
-            env = _run(
-                entry_source, request, include_files, database, session, max_steps
+            env = run_php(
+                sources[entry],
+                request=request,
+                database=database,
+                files=include_files,
+                session=session,
+                max_steps=max_steps,
+                filename=entry,
+                parse_hook=parses.original,
             )
         except PhpRuntimeError as exc:
             result.reason = f"interpreter: {exc}"
@@ -297,13 +332,15 @@ def replay_counterexamples(
                 len(database.query_log) if database is not None else 0
             )
             try:
-                patched_env = _run(
+                patched_env = run_php(
                     patched[entry],
-                    request,
-                    patched_includes,
-                    database,
-                    session,
-                    max_steps,
+                    request=request,
+                    database=database,
+                    files=patched_includes,
+                    session=session,
+                    max_steps=max_steps,
+                    filename=entry,
+                    parse_hook=parses.patched,
                 )
             except PhpRuntimeError as exc:
                 result.patched = "unsupported"
@@ -342,6 +379,12 @@ def replay_source(
 # -- engine integration ------------------------------------------------------
 
 
+def skipped_traces(traces) -> int:
+    """Traces past the :data:`MAX_REPLAYED_TRACES` cap (counted, never
+    silently dropped)."""
+    return max(0, len(traces) - MAX_REPLAYED_TRACES)
+
+
 def summarize_replays(results: list[ReplayResult], skipped: int = 0) -> dict:
     """The ``replay`` section of a file record (JSON-safe)."""
     summary = {
@@ -361,10 +404,12 @@ def summarize_replays(results: list[ReplayResult], skipped: int = 0) -> dict:
     return summary
 
 
-def replay_for_task(task, report) -> dict:
+def replay_for_task(task, report, parse_hook: ParseHook | None = None) -> dict:
     """Replay every counterexample of one engine task; never raises.
 
     Returns the ``replay`` record for the task's :class:`FileOutcome`.
+    ``parse_hook`` parses the task's original sources (the worker passes
+    its parse cache; see :func:`replay_counterexamples`).
     Any unexpected failure inside the replayer itself degrades to a
     record with an ``error`` note and all traces ``unsupported``.
     """
@@ -382,10 +427,9 @@ def replay_for_task(task, report) -> dict:
             entry,
             traces,
             report.grouping,
+            parse_hook=parse_hook,
         )
-        summary = summarize_replays(
-            results, skipped=max(0, len(traces) - MAX_REPLAYED_TRACES)
-        )
+        summary = summarize_replays(results, skipped=skipped_traces(traces))
     except Exception as exc:  # noqa: BLE001 - replay must never fail an audit
         summary = summarize_replays([], skipped=0)
         summary["unsupported"] = len(traces)

@@ -106,3 +106,24 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+
+class TestVerifyReplay:
+    def test_traces_past_the_cap_are_reported_as_skipped(self, tmp_path, capsys):
+        from repro.replay import MAX_REPLAYED_TRACES
+
+        count = MAX_REPLAYED_TRACES + 8
+        path = tmp_path / "many.php"
+        path.write_text(
+            "<?php\n" + "".join(f"echo $_GET['q{i}'];\n" for i in range(count))
+        )
+        assert main(["verify", str(path), "--replay", "on"]) == 1
+        out = capsys.readouterr().out
+        assert f"  replay: {MAX_REPLAYED_TRACES} confirmed, 0 refuted, " \
+            "0 unsupported, 8 skipped" in out
+        assert out.count(": confirmed via") == MAX_REPLAYED_TRACES
+
+    def test_no_skipped_note_under_the_cap(self, vuln_file, capsys):
+        assert main(["verify", str(vuln_file), "--replay", "on"]) == 1
+        out = capsys.readouterr().out
+        assert "  replay: 1 confirmed, 0 refuted, 0 unsupported\n" in out

@@ -258,3 +258,147 @@ class TestSummaries:
         first = canon()
         assert first and first == canon()
         assert all(isinstance(text, str) for text in first)
+
+
+class TestParseOnce:
+    """Within one replayed task every distinct ``(text, filename)`` is
+    parsed once: the condition table, every trace's run and every
+    patched re-run share a task-local memo."""
+
+    ENTRY = (
+        "<?php include 'lib.php'; require_once 'util.php';\n"
+        "echo $_GET['a']; echo $_POST['b']; echo $x . $_COOKIE['c'];\n"
+    )
+    FILES = {"lib.php": "<?php $x = $_GET['x'];\n", "util.php": "<?php $y = 1;\n"}
+
+    @staticmethod
+    def counting(calls):
+        def hook(text, filename):
+            calls[(text, filename)] = calls.get((text, filename), 0) + 1
+            return parse(text, filename)
+
+        return hook
+
+    def test_each_source_is_parsed_at_most_once_per_task(self, monkeypatch):
+        import repro.replay.replayer as replayer
+
+        original, patched = {}, {}
+        monkeypatch.setattr(replayer, "parse", self.counting(patched))
+        report = WebSSARI().verify_source(self.ENTRY, filename="index.php")
+        traces = report.bmc.all_counterexamples()
+        results = replay_counterexamples(
+            {"index.php": self.ENTRY, **self.FILES},
+            "index.php",
+            traces,
+            report.grouping,
+            parse_hook=self.counting(original),
+        )
+        assert len(traces) > 1
+        assert all(r.verdict == "confirmed" for r in results)
+        assert all(r.patched == "refuted" for r in results)
+        assert set(original) == {
+            (self.ENTRY, "index.php"),
+            *((text, name) for name, text in self.FILES.items()),
+        }
+        assert set(original.values()) == {1}
+        # Patched sources differ from the originals and parse once each,
+        # through the plain parser, never through the hook.
+        assert patched and set(patched.values()) == {1}
+        assert not set(patched) & set(original)
+
+    def test_run_php_routes_entry_and_includes_through_the_hook(self):
+        calls = {}
+        files = {"lib.php": "<?php $x = 'lib';\n", "util.php": "<?php $y = 'util';\n"}
+        env = run_php(
+            "<?php include 'lib.php'; require_once 'util.php'; "
+            "require_once 'util.php'; echo $x . $y;\n",
+            files=files,
+            filename="entry.php",
+            parse_hook=self.counting(calls),
+        )
+        assert env.response_body() == "libutil"
+        assert sorted(name for _, name in calls) == ["entry.php", "lib.php", "util.php"]
+
+    def test_unparsable_include_gives_one_reason_on_every_trace(self):
+        entry = "<?php include 'bad.php'; echo $_GET['a']; echo $_POST['b'];\n"
+        bad = "<?php if (\n"
+        report = WebSSARI().verify_source(entry, filename="e.php")
+        traces = report.bmc.all_counterexamples()
+        assert len(traces) > 1
+        with pytest.raises(Exception) as failure:
+            parse(bad, "bad.php")
+        calls = {}
+        results = replay_counterexamples(
+            {"e.php": entry, "bad.php": bad},
+            "e.php",
+            traces,
+            report.grouping,
+            parse_hook=self.counting(calls),
+        )
+        expected = f"{type(failure.value).__name__}: {failure.value}"
+        assert [r.reason for r in results] == [expected] * len(traces)
+        assert all(r.verdict == "unsupported" for r in results)
+        assert calls[(bad, "bad.php")] == 1
+
+    def test_worker_parse_cache_serves_unpatched_sources(self, tmp_path):
+        from repro.engine.worker import AuditTask, execute_task
+        from repro.php.parsecache import ParseCache
+
+        cache = ParseCache(persist_dir=tmp_path / "parse")
+        websari = WebSSARI(parse_cache=cache)
+        task = AuditTask(
+            index=0,
+            filename="index.php",
+            project_files={"index.php": self.ENTRY, **self.FILES},
+            entry="index.php",
+        )
+        outcome = execute_task(task, websari, want_report=True)
+        assert outcome.safe is False
+        misses, hits = cache.misses, cache.hits
+        stored = sorted((tmp_path / "parse").rglob("*.pkl"))
+        summary = replay_for_task(task, outcome.report, parse_hook=cache.parse)
+        assert summary["confirmed"] >= 2 and summary["patched_refuted"] >= 2
+        assert cache.misses == misses
+        assert cache.hits > hits
+        # Patched sources never reach the persistent cache.
+        assert sorted((tmp_path / "parse").rglob("*.pkl")) == stored
+
+    def test_worker_replay_adds_no_parse_cache_misses(self):
+        from repro.engine.worker import AuditTask, execute_task
+        from repro.php.parsecache import ParseCache
+
+        cache = ParseCache()
+        task = AuditTask(
+            index=0,
+            filename="index.php",
+            project_files={"index.php": self.ENTRY, **self.FILES},
+            entry="index.php",
+        )
+        outcome = execute_task(task, WebSSARI(parse_cache=cache, replay=True))
+        assert outcome.replay["confirmed"] >= 2
+        assert cache.misses == outcome.includes["parse_cache_misses"] == 3
+        # Replay took the originals from the parse stage's memo.
+        assert outcome.includes["parse_cache_hits"] == 0 and cache.hits >= 3
+
+    def test_bench_and_worker_paths_agree_on_a_catalog_project(self):
+        from repro.corpus import FIGURE_10
+        from repro.corpus.generator import generate_catalog_project
+        from repro.engine.worker import AuditTask, execute_task
+        from repro.php.parsecache import ParseCache
+
+        generated = generate_catalog_project(FIGURE_10[0], seed=2004)
+        files = {path: generated.project.source(path) for path in generated.project.paths()}
+        cache = ParseCache()
+        websari = WebSSARI(parse_cache=cache)
+        replayed = 0
+        for entry in sorted(files):
+            task = AuditTask(index=0, filename=entry, project_files=files, entry=entry)
+            outcome = execute_task(task, websari, want_report=True)
+            if outcome.status != "ok" or outcome.safe:
+                continue
+            plain = replay_for_task(task, outcome.report)
+            hooked = replay_for_task(task, outcome.report, parse_hook=cache.parse)
+            assert json.dumps(plain, sort_keys=True) == json.dumps(hooked, sort_keys=True)
+            assert "error" not in plain
+            replayed += plain["confirmed"]
+        assert replayed > 0
