@@ -12,7 +12,8 @@ Three sweeps through ``repro.engine`` (``jobs=1``, file cache off):
 * nocache — no SAT cache at all: the parity baseline,
 * cold    — empty persist dir; in-run repeated shapes already hit,
 * warm    — fresh process-level cache over the same persist dir: every
-  query replays from disk, the backend solver is never materialized.
+  query replays from its program's pack (one read per file, no
+  writes), the backend solver is never materialized.
 
 Acceptance contract (ISSUE 3): warm ≥ 2× faster than cold, verdicts
 identical across all three sweeps, warm run is all hits.  A trajectory
@@ -200,10 +201,10 @@ def test_cold_vs_warm_sat_cache(benchmark, tmp_path):
 
 @pytest.mark.benchmark(group="sat-incremental")
 def test_incremental_and_portfolio_sat(benchmark, tmp_path):
-    """ISSUE 8 contract: incremental enumeration + cross-query lemma
-    sharing make the *cold* sweep ≥ 1.5× faster than the pre-incremental
-    baseline (measured in-process via the ``sat_incremental=False``
-    ablation), with byte-identical verdicts; the portfolio backend
+    """Contract: incremental enumeration makes the *cold* sweep ≥ 1.5×
+    faster than the pre-incremental baseline (measured in-process via
+    the ``sat_incremental=False`` ablation), with byte-identical
+    verdicts; the portfolio backend
     agrees on every verdict too.  A trajectory point with
     ``assertions_per_second`` for all four sweeps lands in
     ``BENCH_sat_cache.json`` (or ``$REPRO_BENCH_OUT`` in smoke mode, so
@@ -213,11 +214,11 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
     persist = tmp_path / "sat-inc"
 
     # Pre-incremental baseline: per-solve backtrack-to-root, linear
-    # VSIDS scan, no lemma exchange — the seed solver's cold behaviour.
+    # VSIDS scan — the seed solver's cold behaviour.
     baseline = sweep(files, SatQueryCache(), incremental=False)
 
-    # The headline configuration: incremental CDCL + clause import over
-    # a cold persistent cache.
+    # The headline configuration: incremental CDCL over a cold
+    # persistent cache.
     cold_cache = SatQueryCache(persist_dir=persist)
     cold = benchmark.pedantic(
         lambda: sweep(files, sat_cache=cold_cache), rounds=1, iterations=1

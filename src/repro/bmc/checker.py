@@ -148,9 +148,8 @@ class BMCChecker:
         self.sat_seed = sat_seed
         #: Ablation switch: False restores the pre-incremental CDCL
         #: behaviour (backtrack-to-root between solves, linear VSIDS
-        #: scan, no learned-clause sharing through the query cache) so
-        #: benchmarks can measure the incremental machinery against an
-        #: in-process seed-equivalent baseline.
+        #: scan) so benchmarks can measure the incremental machinery
+        #: against an in-process seed-equivalent baseline.
         self.sat_incremental = sat_incremental
         #: Shared SAT-level query memo (repro.sat.cache); None disables.
         self.sat_cache = sat_cache
@@ -177,12 +176,7 @@ class BMCChecker:
                 incremental=self.sat_incremental,
             )
         if self.sat_cache is not None:
-            return CachingSatSolver(
-                inner,
-                self.sat_cache,
-                backend=self.solver_backend,
-                share_learned=self.sat_incremental,
-            )
+            return CachingSatSolver(inner, self.sat_cache, backend=self.solver_backend)
         return inner
 
     def _tally_solve(self, stats: SolverStats) -> None:
@@ -218,6 +212,10 @@ class BMCChecker:
             results.append(
                 self._check_one(encoded, generator, solver, sync_new_clauses)
             )
+
+        if isinstance(solver, CachingSatSolver):
+            # One pack write per program, after its last query.
+            solver.save_pack()
 
         num_vars, num_clauses = generator.formula_stats()
         return BMCResult(

@@ -577,10 +577,9 @@ def _solver_stats_lines(report) -> list[str]:
             f"  sat-cache: {totals.get('cache_hits', 0)} hit(s), "
             f"{totals.get('cache_misses', 0)} miss(es)"
         )
-    if totals.get("learned_imported", 0) or totals.get("root_satisfied_deleted", 0):
+    if totals.get("root_satisfied_deleted", 0):
         lines.append(
-            f"  incremental: {totals.get('learned_imported', 0)} learned "
-            f"clause(s) imported, {totals.get('root_satisfied_deleted', 0)} "
+            f"  incremental: {totals['root_satisfied_deleted']} "
             "dead clause(s) reclaimed"
         )
     if totals.get("portfolio_races", 0):

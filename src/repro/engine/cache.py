@@ -53,8 +53,10 @@ __all__ = [
 #:  entries switched from whole-project to closure-scoped cache keys —
 #:  old whole-project entries must become clean misses.
 #:  7: records gained the per-file ``replay`` section (concrete witness
-#:  replay verdicts) — pre-replay entries must become clean misses.)
-ENGINE_VERSION = "7"
+#:  replay verdicts) — pre-replay entries must become clean misses.
+#:  8: the ``solver`` record section lost the ``learned_imported``
+#:  counter when learned-clause exchange was deleted.)
+ENGINE_VERSION = "8"
 
 #: Cache record schema version (independent of verdict semantics).
 _RECORD_VERSION = 1

@@ -353,13 +353,9 @@ def render_report(run: AuditRun, top: int = 10) -> str:
         ]
         if parts:
             lines.append("solver: " + ", ".join(parts))
-        imported = int(solver_totals.get("learned_imported", 0))
         reclaimed = int(solver_totals.get("root_satisfied_deleted", 0))
-        if imported or reclaimed:
-            lines.append(
-                f"incremental: {imported} learned clause(s) imported, "
-                f"{reclaimed} dead clause(s) reclaimed"
-            )
+        if reclaimed:
+            lines.append(f"incremental: {reclaimed} dead clause(s) reclaimed")
         races = int(solver_totals.get("portfolio_races", 0))
         if races:
             wasted = int(solver_totals.get("portfolio_wasted_conflicts", 0))

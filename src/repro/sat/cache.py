@@ -30,22 +30,21 @@ exactly the value both backend solvers assign to unconstrained
 variables, so replayed enumerations are verdict- and trace-identical to
 solved ones.
 
-**Learned-clause sharing.**  A model replay only helps when the *exact*
-query (formula + assumptions) was seen before.  One rung below that, a
-cache miss whose canonical clause stream matches a previously-solved
-query can still skip most of the search: the facade stores the donor
-solver's best learned clauses (top-K by LBD, canonically renamed) under
-the formula's stream hash, and on a miss imports them — renamed back
-through the inverse variable map — into the fresh backend before
-solving.  Learned clauses are consequences of the clause set alone (the
-resolution derivation folds assumption literals into the clause), so an
-import into any solver over an isomorphic clause set is sound.
-
-**Sharing.**  :class:`SatQueryCache` is the store: an in-memory LRU for
-one process/run plus optional on-disk persistence using the same
-git-object fan-out layout and atomic write discipline as the engine's
-result cache (``<dir>/<key[:2]>/<key>.json``), so concurrent workers and
-consecutive runs can share a directory safely.  Keys embed
+**Packs.**  :class:`SatQueryCache` is the store: an in-memory LRU for
+one process/run plus optional on-disk persistence.  The unit of
+persistence is the checked program, not the query: the BMC checker
+solves one formula per program and enumerates its counterexamples over
+one clause stream, so all of a program's queries share the key of its
+first query (the hash of the whole encoded formula plus the first
+assumption).  That key names the program's *pack*,
+``<dir>/<p[:2]>/<p>.json``, a JSON object mapping each full query key
+to its record.  A :class:`CachingSatSolver` reads its pack into the LRU
+on its first ``solve`` (one read); after that every lookup and store is
+memory-only, and :meth:`CachingSatSolver.save_pack` writes the pack
+back once, atomically, only if the program solved a query.  A pack
+only pre-loads records: each record is still looked up by its full
+query key, so a pack can never answer a query it does not hold, and a
+corrupt pack is evicted whole, never served.  Keys embed
 :data:`SAT_CACHE_VERSION` and the backend name, so format changes and
 backend-specific models never alias.
 """
@@ -68,18 +67,22 @@ __all__ = ["SAT_CACHE_VERSION", "SatQueryCache", "CachingSatSolver"]
 #: Bump whenever the fingerprint scheme or record layout changes; stale
 #: on-disk entries then become misses instead of wrong answers.
 #: (2: learned-clause records joined the keyspace and the CDCL backend
-#: became incremental, which changes the counters embedded in records.)
-SAT_CACHE_VERSION = "2"
+#: became incremental, which changes the counters embedded in records;
+#: 3: one pack per checked program replaced one file per query, and the
+#: learned-clause records left the keyspace.)
+SAT_CACHE_VERSION = "3"
 
 
 class SatQueryCache:
     """Fingerprint → solve-outcome store shared across solver instances.
 
-    In-memory LRU bounded by ``max_entries``; with ``persist_dir`` set,
-    entries are additionally written to disk (atomic temp-file + rename,
-    tolerating concurrent writers) and disk lookups backfill the LRU.
-    Picklable: the LRU contents are dropped on pickling so shipping the
-    cache to spawn-start workers stays cheap — workers re-warm from disk.
+    ``get`` and ``put`` work on an in-memory LRU bounded by
+    ``max_entries``.  With ``persist_dir`` set, :meth:`load_pack` and
+    :meth:`save_pack` move one program's records between the LRU and its
+    pack file (atomic temp-file + rename, tolerating concurrent
+    writers).  Picklable: the LRU contents are dropped on pickling so
+    shipping the cache to spawn-start workers stays cheap — workers
+    re-warm from their packs.
     """
 
     def __init__(self, persist_dir: str | Path | None = None, max_entries: int = 65536) -> None:
@@ -90,8 +93,6 @@ class SatQueryCache:
         #: counters that feed reports live in SolverStats).
         self.hits = 0
         self.misses = 0
-        self.learned_hits = 0
-        self.learned_stores = 0
 
     # -- pickling ---------------------------------------------------------
 
@@ -104,11 +105,7 @@ class SatQueryCache:
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["persist_dir"], state["max_entries"])
 
-    # -- store ------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.persist_dir is not None
-        return self.persist_dir / key[:2] / f"{key}.json"
+    # -- records ----------------------------------------------------------
 
     @staticmethod
     def _valid(record: object) -> bool:
@@ -121,47 +118,15 @@ class SatQueryCache:
 
     def get(self, key: str) -> dict | None:
         record = self._memo.get(key)
-        if record is not None:
-            self._memo.move_to_end(key)
-            self.hits += 1
-            return record
-        if self.persist_dir is not None:
-            path = self._path(key)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if record is not None and self._valid(record):
-                self._remember(key, record)
-                self.hits += 1
-                return record
-            if record is not None:  # corrupt: evict
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        self.misses += 1
-        return None
+        if record is None:
+            self.misses += 1
+            return None
+        self._memo.move_to_end(key)
+        self.hits += 1
+        return record
 
     def put(self, key: str, record: dict) -> None:
         self._remember(key, record)
-        if self.persist_dir is None:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle, sort_keys=True)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        except OSError:
-            pass  # persistence is best-effort; the LRU entry stands
 
     def _remember(self, key: str, record: dict) -> None:
         self._memo[key] = record
@@ -169,55 +134,67 @@ class SatQueryCache:
         while len(self._memo) > self.max_entries:
             self._memo.popitem(last=False)
 
-    # -- learned-clause records -------------------------------------------
-
-    @staticmethod
-    def _valid_learned(record: object) -> bool:
-        return (
-            isinstance(record, dict)
-            and isinstance(record.get("learned"), list)
-            and all(
-                isinstance(entry, list)
-                and len(entry) >= 2
-                and all(isinstance(x, int) for x in entry)
-                for entry in record["learned"]
-            )
-        )
-
-    def get_learned(self, key: str) -> list[list[int]] | None:
-        """Learned-clause record lookup (``[[lbd, lit, ...], ...]``).
-
-        Deliberately does *not* touch :attr:`hits`/:attr:`misses` — those
-        count model-replay probes; learned-clause probes are a secondary
-        accelerator whose effect shows up in ``learned_imported``."""
-        record = self._memo.get(key)
-        if record is not None:
-            self._memo.move_to_end(key)
-            self.learned_hits += 1
-            return record["learned"]
-        if self.persist_dir is not None:
-            path = self._path(key)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if record is not None and self._valid_learned(record):
-                self._remember(key, record)
-                self.learned_hits += 1
-                return record["learned"]
-            if record is not None:  # corrupt: evict
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        return None
-
-    def put_learned(self, key: str, entries: list[list[int]]) -> None:
-        self.learned_stores += 1
-        self.put(key, {"learned": entries})
-
     def __len__(self) -> int:
         return len(self._memo)
+
+    # -- packs ------------------------------------------------------------
+
+    def _pack_path(self, pack: str) -> Path:
+        assert self.persist_dir is not None
+        return self.persist_dir / pack[:2] / f"{pack}.json"
+
+    def load_pack(self, pack: str) -> dict[str, dict]:
+        """Read pack ``pack`` into the LRU and return its records.
+
+        A missing pack (or no ``persist_dir``) loads nothing.  A pack
+        that is not a JSON object of valid records is unlinked and loads
+        nothing: one bad record condemns the whole file.  Loading is not
+        a lookup or a store: it bypasses ``get``/``put`` and their
+        counters."""
+        if self.persist_dir is None:
+            return {}
+        path = self._pack_path(pack)
+        try:
+            records = json.loads(path.read_text())
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError):
+            records = None
+        if not (
+            isinstance(records, dict)
+            and all(self._valid(record) for record in records.values())
+        ):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return {}
+        for key, record in records.items():
+            self._remember(key, record)
+        return records
+
+    def save_pack(self, pack: str, records: dict[str, dict]) -> None:
+        """Write ``records`` as pack ``pack``, replacing any older copy.
+
+        Best-effort: a failed write leaves the LRU as it was and costs
+        the next run misses, never a wrong answer."""
+        if self.persist_dir is None:
+            return
+        path = self._pack_path(pack)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(records, handle, separators=(",", ":"))
+                os.replace(tmp, path)
+            except OSError:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+        except OSError:
+            pass
 
 
 class CachingSatSolver:
@@ -238,18 +215,9 @@ class CachingSatSolver:
         inner,
         cache: SatQueryCache,
         backend: str = "cdcl",
-        learned_export_min_conflicts: int = 8,
-        share_learned: bool = True,
     ) -> None:
         self._inner = inner
         self._cache = cache
-        #: False disables cross-query lemma exchange entirely (ablation
-        #: baselines and backends whose lemmas are not exportable).
-        self._share_learned = share_learned
-        #: Only persist lemmas from solves that did real search work —
-        #: importing a trivial query's lemmas saves less than the probe
-        #: and write cost.
-        self._export_min_conflicts = learned_export_min_conflicts
         self._canon: dict[int, int] = {}  # original var -> canonical var
         self._max_var = 0
         #: Clauses not yet fed to ``inner``: the backend is materialized
@@ -271,10 +239,12 @@ class CachingSatSolver:
         #: Winning portfolio configuration of the most recent solve, when
         #: the backend races one (None on cache hits and plain backends).
         self.last_winner: str | None = None
-        #: Formula-stream keys whose learned clauses were already imported
-        #: into this backend instance (never import the same lemma set
-        #: twice, including the set this instance itself exported).
-        self._learned_seen: set[str] = set()
+        #: This program's pack: named by its first query key, holding the
+        #: records read from disk plus every record this solver looked up
+        #: or stored since.  ``_dirty`` is set once a query was solved.
+        self._pack: str | None = None
+        self._pack_records: dict[str, dict] = {}
+        self._dirty = False
 
     # -- canonicalization --------------------------------------------------
 
@@ -328,8 +298,12 @@ class CachingSatSolver:
         # canonical-CNF cache entries.
         self.last_query_key = key
         self.last_winner = None
+        if self._pack is None:
+            self._pack = key
+            self._pack_records = self._cache.load_pack(key)
         record = self._cache.get(key)
         if record is not None:
+            self._pack_records[key] = record
             self.stats = SolverStats(cache_hits=1)
             if not record["sat"]:
                 return SolveResult(satisfiable=False, stats=self.stats)
@@ -339,22 +313,14 @@ class CachingSatSolver:
                 stats=self.stats,
             )
         self._flush()
-        if self._share_learned:
-            self._import_learned()
         result = self._inner.solve(
             assumptions=assumptions, conflict_budget=conflict_budget
         )
         self.stats = result.stats
         self.last_winner = getattr(self._inner, "last_winner", None)
         result.stats.cache_misses += 1
-        if (
-            self._share_learned
-            and result.satisfiable is not None
-            and result.stats.conflicts >= self._export_min_conflicts
-        ):
-            self._export_learned()
         if result.satisfiable is True and result.model is not None:
-            self._cache.put(
+            self._store(
                 key,
                 {
                     "sat": True,
@@ -364,8 +330,22 @@ class CachingSatSolver:
                 },
             )
         elif result.satisfiable is False:
-            self._cache.put(key, {"sat": False, "true": []})
+            self._store(key, {"sat": False, "true": []})
         return result
+
+    def _store(self, key: str, record: dict) -> None:
+        self._cache.put(key, record)
+        self._pack_records[key] = record
+        self._dirty = True
+
+    def save_pack(self) -> None:
+        """Persist this program's pack: one write, and only if a query was
+        solved (a fully-warm program writes nothing).  The pack is the
+        union of what was loaded and every record this solver used, so
+        programs sharing a first query accumulate into one pack."""
+        if self._dirty and self._pack is not None:
+            self._cache.save_pack(self._pack, self._pack_records)
+            self._dirty = False
 
     def _query_key(self, assumptions: tuple[int, ...]) -> str:
         """Clause-stream hash extended with the renamed assumptions.
@@ -390,69 +370,6 @@ class CachingSatSolver:
         query.update(b"|")
         query.update(",".join(parts).encode())
         return query.hexdigest()
-
-    # -- cross-query learned-clause sharing --------------------------------
-
-    def _formula_key(self) -> str:
-        """Key of the learned-clause record for the current clause stream.
-
-        Lives in its own namespace (``|learned`` marker, which no
-        assumption rendering can produce) so it never aliases a query
-        key."""
-        fkey = self._hash.copy()
-        fkey.update(b"|learned")
-        return fkey.hexdigest()
-
-    def _import_learned(self) -> None:
-        """On a miss, seed the backend with the lemmas a previous solver
-        learned over an isomorphic clause stream (renamed back through
-        the inverse of the canonical map)."""
-        importer = getattr(self._inner, "import_learned", None)
-        if importer is None:
-            return
-        fkey = self._formula_key()
-        if fkey in self._learned_seen:
-            return
-        self._learned_seen.add(fkey)
-        entries = self._cache.get_learned(fkey)
-        if not entries:
-            return
-        inverse = {c: orig for orig, c in self._canon.items()}
-        records: list[tuple[list[int], int]] = []
-        for entry in entries:
-            lbd, canon_lits = entry[0], entry[1:]
-            lits: list[int] = []
-            for lit in canon_lits:
-                orig = inverse.get(abs(lit))
-                if orig is None:
-                    break  # donor variable outside this stream: skip clause
-                lits.append(orig if lit > 0 else -orig)
-            else:
-                records.append((lits, lbd))
-        if records:
-            importer(records)
-
-    def _export_learned(self, limit: int = 64) -> None:
-        """After a miss is solved, persist the backend's best lemmas under
-        the formula's stream key (canonically renamed) so isomorphic
-        future queries can import them."""
-        exporter = getattr(self._inner, "export_learned", None)
-        if exporter is None:
-            return
-        entries: list[list[int]] = []
-        for lits, lbd in exporter(limit=limit):
-            canon_lits: list[int] = []
-            for lit in lits:
-                c = self._canon.get(abs(lit))
-                if c is None:
-                    break  # clause mentions an assumption-only variable
-                canon_lits.append(c if lit > 0 else -c)
-            else:
-                entries.append([lbd] + canon_lits)
-        if entries:
-            fkey = self._formula_key()
-            self._learned_seen.add(fkey)
-            self._cache.put_learned(fkey, entries)
 
     def _replay_model(
         self, true_canon: list[int], assumptions: tuple[int, ...]

@@ -139,14 +139,6 @@ class PortfolioSolver:
         self._log.append(lits)
         self._primary.add_clause(lits)
 
-    def export_learned(self, **kwargs) -> list[tuple[list[int], int]]:
-        exporter = getattr(self._primary, "export_learned", None)
-        return exporter(**kwargs) if exporter is not None else []
-
-    def import_learned(self, records: Iterable[tuple[list[int], int]]) -> int:
-        importer = getattr(self._primary, "import_learned", None)
-        return importer(records) if importer is not None else 0
-
     def solve(
         self,
         assumptions: Iterable[int] = (),

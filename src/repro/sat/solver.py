@@ -96,10 +96,6 @@ class SolverStats:
     #: :class:`repro.sat.cache.CachingSatSolver`, zero otherwise).
     cache_hits: int = stat_counter()
     cache_misses: int = stat_counter()
-    #: Learned clauses imported from an isomorphic previously-solved
-    #: query (see :meth:`CDCLSolver.import_learned` and the SAT cache's
-    #: learned-clause store).
-    learned_imported: int = stat_counter()
     #: Clauses deleted by the lazy root-satisfied sweep that runs after a
     #: root unit lands between solves (retired gates kill their blocking
     #: clauses this way).
@@ -224,8 +220,6 @@ class CDCLSolver:
         #: snapshot into that call's stats so no counting is lost to the
         #: per-call stats reset.
         self._pending_preprocessed = 0
-        #: Clauses accepted by import_learned() since the last solve().
-        self._pending_imported = 0
         self.stats = SolverStats()
         if formula is not None:
             self.add_formula(formula)
@@ -375,82 +369,6 @@ class CDCLSolver:
     def _watch(self, clause: _Clause) -> None:
         for lit in clause.literals[:2]:
             self._watches.setdefault(lit, []).append(clause)
-
-    # -- learned-clause exchange ------------------------------------------
-
-    def export_learned(
-        self, limit: int = 64, max_lbd: int = 4, max_len: int = 16
-    ) -> list[tuple[list[int], int]]:
-        """Snapshot the most reusable learned clauses as
-        ``(literals, lbd)`` pairs, best (lowest LBD, then shortest) first.
-
-        Used by the SAT cache to persist lemmas per canonical formula so
-        an isomorphic future query can start from them instead of from
-        nothing."""
-        pool = [
-            c
-            for c in self._learned
-            if c.lbd <= max_lbd and len(c.literals) <= max_len
-        ]
-        pool.sort(key=lambda c: (c.lbd, len(c.literals)))
-        return [(sorted(c.literals, key=abs), c.lbd) for c in pool[:limit]]
-
-    def import_learned(self, records: Iterable[tuple[list[int], int]]) -> int:
-        """Install learned clauses exported from a solver that saw an
-        equisatisfiable clause set (e.g. the same canonical formula under
-        the cache's renaming).  Returns the number of clauses accepted.
-
-        Imported clauses are root-simplified like problem clauses but
-        join the *learned* database, so they keep their LBD (glue survives
-        reduction) and can be dropped again under memory pressure."""
-        count = 0
-        for lits, lbd in records:
-            if self._root_conflict:
-                break
-            simplified: list[int] = []
-            seen: set[int] = set()
-            satisfied = False
-            for lit in lits:
-                if lit == 0 or -lit in seen:
-                    satisfied = True  # malformed/tautological: skip record
-                    break
-                if lit in seen:
-                    continue
-                seen.add(lit)
-                self._ensure_var(abs(lit))
-                val = self._value(lit)
-                if val != _UNASSIGNED and self._level[abs(lit)] == 0:
-                    if val == _TRUE:
-                        satisfied = True
-                        break
-                    continue  # root-false: stripped
-                simplified.append(lit)
-            if satisfied:
-                continue
-            if not simplified:
-                # The lemma is false under the root assignment — and it is
-                # implied by the clause set, so the formula is root-UNSAT.
-                self._root_conflict = True
-                count += 1
-                break
-            if len(simplified) == 1:
-                self._backtrack(0)
-                saved_stats, self.stats = self.stats, SolverStats()
-                try:
-                    if (
-                        not self._enqueue(simplified[0], None)
-                        or self._propagate() is not None
-                    ):
-                        self._root_conflict = True
-                finally:
-                    self.stats = saved_stats
-                self._dead_sweep_pending = True
-                count += 1
-                continue
-            self._attach_clause(simplified, learned=True, lbd=lbd or len(simplified))
-            count += 1
-        self._pending_imported += count
-        return count
 
     # -- assignment primitives -------------------------------------------
 
@@ -779,13 +697,10 @@ class CDCLSolver:
         blocking clause lands — resumes the enumeration mid-search.
         """
         self.stats = SolverStats()
-        # Credit this call with the add-time preprocessing and clause
-        # imports done since the previous solve (the per-call stats reset
-        # must not lose them).
+        # Credit this call with the add-time preprocessing done since the
+        # previous solve (the per-call stats reset must not lose it).
         self.stats.preprocessed_clauses = self._pending_preprocessed
-        self.stats.learned_imported = self._pending_imported
         self._pending_preprocessed = 0
-        self._pending_imported = 0
         if self._root_conflict:
             return SolveResult(satisfiable=False, stats=self.stats)
 

@@ -172,8 +172,8 @@ class WebSSARI:
         self.restart_strategy = restart_strategy
         self.sat_seed = sat_seed
         #: Ablation switch for the incremental CDCL machinery (trail /
-        #: VSIDS / learned-clause retention across the enumeration and
-        #: cross-query lemma exchange).  True is the production default;
+        #: VSIDS / learned-clause retention across the enumeration).
+        #: True is the production default;
         #: False measures the pre-incremental baseline in-process.
         self.sat_incremental = sat_incremental
         #: Content-hash parse memo (repro.php.parsecache) shared by this

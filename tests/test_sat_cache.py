@@ -1,9 +1,10 @@
 """Tests for the SAT-level query cache (repro.sat.cache).
 
-Covers the store (LRU bound, disk persistence, corruption tolerance,
-pickling) and the :class:`CachingSatSolver` facade (canonical
-fingerprinting, hit/miss accounting, model replay fidelity across
-variable renamings and both backends).
+Covers the store (LRU bound), the :class:`CachingSatSolver` facade
+(canonical fingerprinting, hit/miss accounting, model replay fidelity
+across variable renamings and both backends), and per-program pack
+persistence (one read and at most one write per checked program,
+corruption tolerance, pickling, verdict parity).
 """
 
 import json
@@ -45,34 +46,6 @@ class TestSatQueryCache:
         cache.get("a")  # a is now most-recent
         cache.put("c", {"sat": False, "true": []})
         assert cache.get("b") is None and cache.get("a") is not None
-
-    def test_disk_persistence_across_instances(self, tmp_path):
-        first = SatQueryCache(persist_dir=tmp_path / "sat")
-        first.put("ab" + "0" * 62, {"sat": True, "true": [2]})
-        second = SatQueryCache(persist_dir=tmp_path / "sat")
-        assert second.get("ab" + "0" * 62) == {"sat": True, "true": [2]}
-        # Fan-out layout: <dir>/<key[:2]>/<key>.json
-        assert (tmp_path / "sat" / "ab" / ("ab" + "0" * 62 + ".json")).is_file()
-
-    def test_corrupt_disk_entry_is_evicted_not_served(self, tmp_path):
-        cache = SatQueryCache(persist_dir=tmp_path / "sat")
-        key = "cd" + "0" * 62
-        path = tmp_path / "sat" / "cd" / (key + ".json")
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.get(key) is None
-        path.write_text(json.dumps({"sat": "yes", "true": [1]}))  # wrong shape
-        assert cache.get(key) is None
-        assert not path.exists(), "invalid entries must be evicted"
-
-    def test_pickling_drops_memo_keeps_config(self, tmp_path):
-        cache = SatQueryCache(persist_dir=tmp_path / "sat", max_entries=7)
-        cache.put("k", {"sat": False, "true": []})
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.persist_dir == cache.persist_dir
-        assert clone.max_entries == 7
-        assert len(clone) == 0  # memo dropped...
-        assert clone.get("k") == {"sat": False, "true": []}  # ...re-warmed from disk
 
 
 class TestCachingSatSolver:
@@ -227,3 +200,186 @@ class TestCheckerIntegration:
         assert first.bmc.solver_stats.get("cache_misses", 0) > 0
         assert second.bmc.solver_stats.get("cache_hits", 0) > 0
         assert second.bmc.solver_stats.get("cache_misses", 0) == 0
+
+
+SOURCE = (
+    "<?php $y = 'ok';\n"
+    "if ($_GET['a']) { $y = $y . $_GET['a']; }\n"
+    "if ($_GET['b']) { $y = $y . $_GET['b']; }\n"
+    "echo $y;\n"
+    "echo htmlspecialchars($_GET['c']);\n"
+)
+
+
+def renamed_program(source):
+    from repro.ai.renaming import rename
+    from repro.ai.translate import translate_filter_result
+    from repro.ir.filter import filter_program
+    from repro.php.parser import parse
+
+    return rename(translate_filter_result(filter_program(parse(source))))
+
+
+def check(source, cache=None):
+    from repro.bmc.checker import check_program
+
+    return check_program(renamed_program(source), sat_cache=cache)
+
+
+def verdicts(bmc):
+    """Per-assertion verdicts and the set of enumerated witness paths."""
+    return [
+        (
+            a.assert_id,
+            a.safe,
+            a.truncated,
+            sorted(tuple(sorted(cx.deciding_branches.items())) for cx in a.counterexamples),
+        )
+        for a in bmc.assertions
+    ]
+
+
+def pack_files(root):
+    return sorted(root.rglob("*.json"))
+
+
+class CountingCache(SatQueryCache):
+    """Counts pack reads and writes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.loads = 0
+        self.saves = 0
+
+    def load_pack(self, pack):
+        self.loads += 1
+        return super().load_pack(pack)
+
+    def save_pack(self, pack, records):
+        self.saves += 1
+        super().save_pack(pack, records)
+
+
+class TestPacks:
+    def test_cold_check_writes_exactly_one_pack(self, tmp_path):
+        cache = CountingCache(persist_dir=tmp_path / "sat")
+        bmc = check(SOURCE, cache)
+        files = pack_files(tmp_path / "sat")
+        assert len(files) == 1
+        assert (cache.loads, cache.saves) == (1, 1)
+        # The pack is named by the program's first query key and holds a
+        # record for every query the program solved.
+        first_key = files[0].stem
+        assert files[0].parent.name == first_key[:2]
+        pack = json.loads(files[0].read_text())
+        assert first_key in pack
+        assert len(pack) == bmc.num_solve_calls
+        assert bmc.solver_stats["cache_misses"] == bmc.num_solve_calls
+        # Lookups and stores stay one per query.
+        assert cache.misses == bmc.num_solve_calls and len(cache) == len(pack)
+
+    def test_warm_recheck_hits_everything_and_writes_nothing(self, tmp_path):
+        check(SOURCE, SatQueryCache(persist_dir=tmp_path / "sat"))
+        (path,) = pack_files(tmp_path / "sat")
+        before = path.stat()
+
+        warm = CountingCache(persist_dir=tmp_path / "sat")
+        bmc = check(SOURCE, warm)
+        stats = bmc.solver_stats
+        assert stats["cache_hits"] == bmc.num_solve_calls > 0
+        assert stats["cache_misses"] == 0
+        assert stats["decisions"] == 0, "a warm program must not run the backend"
+        assert (warm.loads, warm.saves) == (1, 0)
+        assert pack_files(tmp_path / "sat") == [path]
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["not json", "non-dict", "one bad record"],
+    )
+    def test_corrupt_pack_is_evicted_not_served(self, tmp_path, corrupt):
+        fresh = check(SOURCE)
+        check(SOURCE, SatQueryCache(persist_dir=tmp_path / "sat"))
+        (path,) = pack_files(tmp_path / "sat")
+        pack = json.loads(path.read_text())
+        # "one bad record" flips every record to UNSAT (which would
+        # silence every counterexample if served) and breaks one's shape.
+        poisoned = {key: {"sat": False, "true": []} for key in pack}
+        poisoned[next(iter(pack))] = {"sat": "yes", "true": [1]}
+        text = {
+            "not json": "{not json",
+            "non-dict": json.dumps(list(pack.values())),
+            "one bad record": json.dumps(poisoned),
+        }[corrupt]
+
+        path.write_text(text)
+        cache = SatQueryCache(persist_dir=tmp_path / "sat")
+        assert cache.load_pack(path.stem) == {}
+        assert not path.exists(), "an invalid pack must be evicted"
+        assert len(cache) == 0
+
+        path.write_text(text)
+        cache = SatQueryCache(persist_dir=tmp_path / "sat")
+        bmc = check(SOURCE, cache)
+        assert verdicts(bmc) == verdicts(fresh)
+        assert cache.hits == 0
+        # The program solved everything again and rewrote a valid pack.
+        assert json.loads(path.read_text()) == pack
+
+    def test_shared_first_query_divergent_programs_union_into_one_pack(self, tmp_path):
+        # Same formula and first assertion; the second sink differs, so
+        # the programs share their first query key (one pack) and then
+        # diverge.
+        prefix = "<?php $a = $_GET['x']; $b = 'ok'; echo $a; "
+        program_a = prefix + "echo $b;\n"
+        program_b = prefix + "echo $a;\n"
+        fresh = {"a": check(program_a), "b": check(program_b)}
+
+        root = tmp_path / "sat"
+        cold_a = check(program_a, SatQueryCache(persist_dir=root))
+        cache_b = SatQueryCache(persist_dir=root)
+        cold_b = check(program_b, cache_b)
+        assert cache_b.hits >= 1 and cache_b.misses >= 1, "programs must share, then diverge"
+        (path,) = pack_files(root)
+        assert verdicts(cold_a) == verdicts(fresh["a"])
+        assert verdicts(cold_b) == verdicts(fresh["b"])
+
+        # The pack holds both record sets: a fresh cache replays both
+        # programs without solving anything.
+        pack = json.loads(path.read_text())
+        assert len(pack) == cache_b.hits + cache_b.misses + (
+            cold_a.num_solve_calls - cache_b.hits
+        )
+        for name, source in (("a", program_a), ("b", program_b)):
+            warm = SatQueryCache(persist_dir=root)
+            bmc = check(source, warm)
+            assert warm.misses == 0 and warm.hits == bmc.num_solve_calls
+            assert verdicts(bmc) == verdicts(fresh[name])
+
+    def test_pickled_clone_rewarms_from_its_pack(self, tmp_path):
+        cache = SatQueryCache(persist_dir=tmp_path / "sat", max_entries=4096)
+        check(SOURCE, cache)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.persist_dir == cache.persist_dir
+        assert clone.max_entries == 4096
+        assert len(clone) == 0  # memo dropped...
+        bmc = check(SOURCE, clone)
+        assert bmc.solver_stats["cache_misses"] == 0  # ...re-warmed from the pack
+
+    def test_jobs_two_verdicts_equal_jobs_one(self, tmp_path):
+        from repro.corpus.generator import ProjectSpec, generate_project
+        from repro.websari.pipeline import WebSSARI
+
+        spec = ProjectSpec(name="packs", ts_errors=4, bmc_groups=2, target_statements=30,
+                           target_files=3, seed=44)
+        project = generate_project(spec).project
+        results = {}
+        for jobs in (1, 2):
+            websari = WebSSARI(sat_cache=SatQueryCache())
+            websari.attach_persistent_sat_cache(tmp_path / f"jobs{jobs}")
+            report = websari.verify_project(project, jobs=jobs)
+            results[jobs] = [(r.filename, r.safe, verdicts(r.bmc)) for r in report.reports]
+            assert len(pack_files(tmp_path / f"jobs{jobs}" / "sat")) <= len(report.reports)
+        assert results[2] == results[1]
+        assert any(not safe for _, safe, _ in results[1])

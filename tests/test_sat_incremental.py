@@ -1,18 +1,15 @@
 """Tests for the incremental CDCL machinery and the portfolio racer.
 
-ISSUE 8 coverage: assumption-prefix reuse across the enumeration,
-lazy dead-clause sweeps after gate retirement, learned-clause
-export/import (directly and through the query cache's isomorphism
-renaming), seeded search determinism, the ``incremental=False``
-ablation, and portfolio racing with first-winner-cancels semantics and
-wasted-conflict accounting.
+Coverage: assumption-prefix reuse across the enumeration, lazy
+dead-clause sweeps after gate retirement, seeded search determinism,
+the ``incremental=False`` ablation, and portfolio racing with
+first-winner-cancels semantics and wasted-conflict accounting.
 """
 
 import itertools
 
 import pytest
 
-from repro.sat.cache import CachingSatSolver, SatQueryCache
 from repro.sat.cnf import CNF
 from repro.sat.portfolio import PortfolioConfig, PortfolioSolver, default_configs
 from repro.sat.solver import CDCLSolver
@@ -125,85 +122,6 @@ class TestDeadClauseSweep:
             solver.add_clause((v,))
         assert solver.solve().satisfiable is True
         assert solver.solve(assumptions=[-2, -3, -4]).satisfiable is False
-
-
-class TestLearnedClauseExchange:
-    def test_export_then_import_roundtrip(self):
-        donor = CDCLSolver(pigeonhole(5))
-        assert donor.solve().satisfiable is False
-        records = donor.export_learned()
-        assert records, "hard UNSAT must export lemmas"
-        for lits, lbd in records:
-            assert len(lits) >= 2 and lbd <= 4 and len(lits) <= 16
-
-        receiver = CDCLSolver(pigeonhole(5))
-        imported = receiver.import_learned(records)
-        assert imported == len(records)
-        result = receiver.solve()
-        assert result.satisfiable is False
-        assert result.stats.learned_imported == imported
-
-    def test_import_respects_root_simplification(self):
-        solver = CDCLSolver(CNF([(1,), (2, 3)]))
-        assert solver.solve().satisfiable is True
-        # (−1 ∨ 2): literal −1 is root-false, so this imports as unit 2.
-        solver.import_learned([([-1, 2], 2)])
-        result = solver.solve(assumptions=[-2])
-        assert result.satisfiable is False
-
-    def test_imported_lemmas_never_change_verdicts(self):
-        # Lemmas of a formula are consequences of it: importing them
-        # into an identical instance preserves every assumption verdict.
-        donor = CDCLSolver(pigeonhole(4))
-        assert donor.solve().satisfiable is False
-        receiver = CDCLSolver(pigeonhole(4))
-        receiver.import_learned(donor.export_learned())
-        assert receiver.solve().satisfiable is False
-
-
-class TestCacheLearnedSharing:
-    def _formula(self, offset: int) -> CNF:
-        # Pigeonhole renamed by an offset: isomorphic, distinct vars.
-        base = pigeonhole(5)
-        cnf = CNF()
-        for clause in base.clauses:
-            cnf.add_clause(
-                tuple(
-                    lit + offset if lit > 0 else lit - offset for lit in clause
-                )
-            )
-        return cnf
-
-    def test_isomorphic_query_imports_lemmas(self):
-        cache = SatQueryCache()
-        donor = CachingSatSolver(CDCLSolver(), cache)
-        donor.add_formula(self._formula(0))
-        assert donor.solve().satisfiable is False
-        assert cache.learned_stores == 1
-
-        receiver = CachingSatSolver(CDCLSolver(), cache)
-        receiver.add_formula(self._formula(50))
-        # Assuming a formula variable makes this query canonically
-        # distinct from the donor's → query-cache miss — but the clause
-        # stream is isomorphic, so the donor's lemmas import.
-        result = receiver.solve(assumptions=[51])
-        assert result.satisfiable is False
-        assert cache.learned_hits == 1
-        assert result.stats.learned_imported > 0
-
-    def test_share_learned_off_is_inert(self):
-        cache = SatQueryCache()
-        solver = CachingSatSolver(CDCLSolver(), cache, share_learned=False)
-        solver.add_formula(pigeonhole(5))
-        assert solver.solve().satisfiable is False
-        assert cache.learned_stores == 0 and cache.learned_hits == 0
-
-    def test_learned_records_do_not_touch_query_counters(self):
-        cache = SatQueryCache()
-        cache.put_learned("k", [[2, 1, 2]])
-        assert cache.get_learned("k") == [[2, 1, 2]]
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.learned_stores == 1 and cache.learned_hits == 1
 
 
 class TestSeedAndAblation:

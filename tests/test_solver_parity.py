@@ -1,8 +1,8 @@
 """Verdict parity across solver backends and the SAT query cache.
 
 All acceleration layers — the query cache, the incremental CDCL
-machinery (trail/VSIDS/lemma retention across the enumeration plus
-cross-query clause import), and the portfolio racer — are pure
+machinery (trail/VSIDS/lemma retention across the enumeration), and
+the portfolio racer — are pure
 optimizations: for any program, every ``(solver backend, sat-cache,
 incremental)`` combination must produce the same :class:`BMCResult`
 verdicts, the same counterexample counts, and the same witness
@@ -182,12 +182,17 @@ class TestSeededJsonlDeterminism:
         from repro.cli import main
 
         out = tmp_path / f"audit-{tag}.jsonl"
+        # Each audit gets its own empty cache dir: ``--no-cache`` still
+        # persists SAT packs there, and a warm second run would report
+        # hits where the first reported misses.
         main(
             [
                 "audit",
                 str(corpus),
                 "--jobs",
                 "1",
+                "--cache-dir",
+                str(tmp_path / f"cache-{tag}"),
                 "--no-cache",
                 "--sat-cache",
                 "on",
