@@ -130,6 +130,33 @@ class TestAuditCache:
         assert "2 hit(s)" in capsys.readouterr().out
 
 
+class TestAuditSatPacks:
+    def test_cold_writes_a_pack_per_file_at_most_and_warm_writes_none(self, corpus, tmp_path):
+        cache_dir = tmp_path / "cachedir"
+
+        def run(tag):
+            out = tmp_path / f"{tag}.jsonl"
+            audit(corpus, "--cache-dir", cache_dir, "--no-cache", "--sat-cache", "on",
+                  "--jobs", "1", "--jsonl", out, "--quiet")
+            return json.loads(out.read_text().splitlines()[-1])
+
+        def packs():
+            return sorted(
+                (path, path.stat().st_ino, path.stat().st_mtime_ns)
+                for path in (cache_dir / "sat").rglob("*.json")
+            )
+
+        cold = run("cold")
+        written = packs()
+        assert 0 < len(written) <= cold["completed"] == 3
+        assert cold["solver"]["cache_misses"] > 0
+
+        warm = run("warm")
+        assert warm["solver"]["cache_misses"] == 0
+        assert warm["solver"]["cache_hits"] > 0
+        assert packs() == written, "a warm run must not write a pack"
+
+
 class TestAuditJsonl:
     def test_jsonl_written(self, corpus, tmp_path):
         out = tmp_path / "audit.jsonl"

@@ -357,6 +357,26 @@ class TestPacks:
             assert warm.misses == 0 and warm.hits == bmc.num_solve_calls
             assert verdicts(bmc) == verdicts(fresh[name])
 
+    def test_program_without_queries_touches_no_pack(self, tmp_path):
+        cache = CountingCache(persist_dir=tmp_path / "sat")
+        bmc = check("<?php $x = 'a';\n", cache)
+        assert bmc.num_solve_calls == 0
+        assert (cache.loads, cache.saves) == (0, 0)
+        assert not (tmp_path / "sat").exists()
+
+    def test_unwritable_store_is_best_effort(self, tmp_path):
+        # A regular file where the store's directory should be: every
+        # pack read and write fails, and the check must still match a
+        # fresh solve instead of raising.
+        blocker = tmp_path / "sat"
+        blocker.write_text("not a directory")
+        cache = CountingCache(persist_dir=blocker)
+        bmc = check(SOURCE, cache)
+        assert verdicts(bmc) == verdicts(check(SOURCE))
+        assert (cache.loads, cache.saves) == (1, 1)
+        assert bmc.solver_stats["cache_misses"] == bmc.num_solve_calls
+        assert blocker.read_text() == "not a directory"
+
     def test_pickled_clone_rewarms_from_its_pack(self, tmp_path):
         cache = SatQueryCache(persist_dir=tmp_path / "sat", max_entries=4096)
         check(SOURCE, cache)
