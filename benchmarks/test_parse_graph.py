@@ -14,7 +14,7 @@ leaf that never touches it).  Four contracts, from ISSUE 9:
   worker pipes (closure slices + per-worker dedup) beat the historical
   whole-project-per-task volume by ≥ 5×.
 * **parity** — verdicts and summaries are identical across closure
-  keying on/off × parse cache on/off.
+  slices vs whole-project tasks × parse cache on/off.
 
 A trajectory point is appended to ``BENCH_parse_graph.json`` at the
 repo root.  Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks
@@ -34,6 +34,7 @@ import pytest
 
 from repro import WebSSARI
 from repro.engine import AuditEngine, AuditTask, EngineConfig, ResultCache
+from repro.engine.worker import entry_task
 from repro.php import SourceProject, scan_includes
 from repro.php.parsecache import ParseCache
 
@@ -63,21 +64,23 @@ def make_corpus() -> dict[str, str]:
     return files
 
 
-def make_tasks(files: dict[str, str], *, closure_keys: bool = True) -> list[AuditTask]:
-    """Build project tasks the way the pipeline's scheduler does."""
+def make_tasks(files: dict[str, str], *, whole_project: bool = False) -> list[AuditTask]:
+    """Build entry tasks the way ``verify_project`` and the watch loop do
+    (:func:`repro.engine.worker.entry_task`), or — for the historical
+    baseline — one whole-project task per entry."""
     project = SourceProject(files)
     entries = sorted(files)
+    if whole_project:
+        return [
+            AuditTask(index=i, filename=entry, project_files=dict(files), entry=entry)
+            for i, entry in enumerate(entries)
+        ]
+    whole: dict = {}
     tasks = []
     for i, entry in enumerate(entries):
-        if closure_keys:
-            scan = scan_includes(project, entry)
-            assert not scan.widened, "bench corpus must stay statically bounded"
-            slice_files = {p: files[p] for p in sorted(scan.closure)}
-        else:
-            slice_files = dict(files)
-        tasks.append(
-            AuditTask(index=i, filename=entry, project_files=slice_files, entry=entry)
-        )
+        scan = scan_includes(project, entry)
+        assert not scan.widened, "bench corpus must stay statically bounded"
+        tasks.append(entry_task(i, entry, project, scan, whole))
     return tasks
 
 
@@ -85,13 +88,13 @@ def sweep(
     files: dict[str, str],
     *,
     jobs: int = 1,
-    closure_keys: bool = True,
+    whole_project: bool = False,
     parse_cache: ParseCache | None = None,
     cache: ResultCache | None = None,
 ):
-    websari = WebSSARI(parse_cache=parse_cache, closure_keys=closure_keys)
+    websari = WebSSARI(parse_cache=parse_cache)
     engine = AuditEngine(websari=websari, config=EngineConfig(jobs=jobs, cache=cache))
-    return engine.run(make_tasks(files, closure_keys=closure_keys))
+    return engine.run(make_tasks(files, whole_project=whole_project))
 
 
 def parse_seconds(result) -> float:
@@ -116,7 +119,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
     n_tasks = len(files)
 
     # -- baseline: verdict reference, parse-cache off, whole project ----
-    baseline = sweep(files, closure_keys=False)
+    baseline = sweep(files, whole_project=True)
 
     # -- contract: closure-scoped invalidation across cold processes ----
     result_dir = tmp_path / "results"
@@ -170,7 +173,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
         ("closure+cold", cold),
         ("closure+warm", warm),
         ("closure+pool", pooled),
-        ("whole+cache", sweep(files, closure_keys=False, parse_cache=ParseCache())),
+        ("whole+cache", sweep(files, whole_project=True, parse_cache=ParseCache())),
     ]:
         got = [(o.safe, o.summary) for o in result.outcomes]
         assert got == reference, f"{label} sweep changed a verdict"

@@ -1,27 +1,37 @@
 """Command-line interface.
 
 ```
-python -m repro verify  file.php [dir/ ...] [--detailed] [--prelude P]
-                        [--stats] [--solver cdcl|dpll|portfolio]
+python -m repro [--prelude P] <command> ...
+python -m repro verify  file.php [dir/ ...] [--detailed] [--stats]
+                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
-                        [--trace out.json] [--sat-cache on|off]
+                        [--replay on|off] [--trace out.json]
 python -m repro audit   dir/ [--jobs N] [--timeout S] [--cache-dir D]
                         [--no-cache] [--jsonl out.jsonl] [--detailed]
-                        [--trace out.json] [--metrics out.prom]
+                        [--quiet] [--trace out.json] [--metrics out.prom]
                         [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
                         [--parse-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
                         [--shard I/N] [--start-method fork|spawn]
+                        [--replay on|off]
 python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
-                        [--serve-metrics [HOST]:PORT] [--out-dir D]
-                        [--once] [--cache-dir D] [--sat-cache on|off]
+                        [--timeout S] [--cache-dir D] [--no-cache]
+                        [--out-dir D] [--serve-metrics [HOST]:PORT]
+                        [--once] [--quiet]
+                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
                         [--parse-cache on|off]
+                        [--restart-strategy geometric|luby] [--sat-seed N]
+                        [--start-method fork|spawn] [--replay on|off]
 python -m repro serve   [--bind [HOST]:PORT] [--lease-timeout S]
                         [--submit PATH ...] [--jsonl-dir D]
                         [--trace out.json] [--drain-grace S]
 python -m repro work    --connect URL [--node NAME] [--jobs N]
-                        [--poll S] [--lease N] [--timeout S]
-                        [--start-method fork|spawn]
+                        [--lease N] [--poll S] [--timeout S]
+                        [--cache-dir D] [--no-cache] [--quiet]
+                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
+                        [--parse-cache on|off]
+                        [--restart-strategy geometric|luby] [--sat-seed N]
+                        [--start-method fork|spawn] [--replay on|off]
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
 python -m repro report  --diff old.jsonl new.jsonl
 python -m repro patch   file.php [-o out.php] [--strategy bmc|ts]

@@ -44,7 +44,7 @@ from pathlib import Path
 from repro.daemon.watcher import TreeWatcher
 from repro.engine import AuditEngine, AuditTask, EngineConfig, EngineResult, JsonlSink
 from repro.engine.cache import ResultCache
-from repro.engine.worker import project_content_digest
+from repro.engine.worker import entry_task
 from repro.obs import MetricsRegistry
 from repro.php.errors import IncludeError
 from repro.php.includes import SourceProject, scan_includes
@@ -199,52 +199,15 @@ class WatchLoop:
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
         project = _TreeProject({self._rel(path): path for path in sorted(tracked)})
-        parse_cache = getattr(self.websari, "parse_cache", None)
+        parse_cache = self.websari.parse_cache
         do_parse = parse_cache.parse if parse_cache is not None else None
-        closure_keys = getattr(self.websari, "closure_keys", True)
-        whole_tree: dict[str, str] | None = None
-        whole_digest: str | None = None
+        whole: dict = {}
 
         tasks: list[AuditTask] = []
         for path in dirty:
-            entry = self._rel(path)
             try:
-                scan = scan_includes(project, entry, parse_hook=do_parse)
-                standalone = (
-                    scan.closure == {entry}
-                    and not scan.missing
-                    and not scan.unresolved
-                )
-                if closure_keys and standalone:
-                    # No include machinery in play: a plain content-keyed
-                    # task, sharing cache entries with `repro audit` of
-                    # the same tree.  (An unparsable entry lands here too
-                    # — its verdict depends only on its own bytes.)
-                    task = AuditTask(
-                        index=len(tasks),
-                        filename=path,
-                        source=project.source(entry),
-                    )
-                elif closure_keys and not scan.widened:
-                    files = {p: project.source(p) for p in sorted(scan.closure)}
-                    task = AuditTask(
-                        index=len(tasks), filename=path, project_files=files, entry=entry
-                    )
-                else:
-                    # Whole-tree fallback: closure keying off, or the scan
-                    # could not bound this entry's dependencies.  The tree
-                    # snapshot and its digest are computed once per cycle.
-                    if whole_tree is None:
-                        whole_tree = {p: project.source(p) for p in project.paths()}
-                        whole_digest = project_content_digest(whole_tree)
-                    task = AuditTask(
-                        index=len(tasks),
-                        filename=path,
-                        project_files=whole_tree,
-                        entry=entry,
-                        closure_widened=scan.widened,
-                        project_digest=whole_digest if closure_keys else None,
-                    )
+                scan = scan_includes(project, self._rel(path), parse_hook=do_parse)
+                task = entry_task(len(tasks), path, project, scan, whole)
             except (OSError, IncludeError) as exc:
                 # Raced away between poll and read; it will be reported
                 # deleted next poll.  Drop any stale record now.

@@ -93,28 +93,25 @@ def policy_fingerprint(websari: "WebSSARI") -> str:
                 "sanitize_in_place": websari.sanitize_in_place,
                 # Both backends must agree on verdicts, but cached records
                 # embed per-backend solver counters, so key them apart.
-                "solver": getattr(websari, "solver", "cdcl"),
+                "solver": websari.solver,
                 # Same coherence rule for the SAT-level query cache: it
                 # never changes verdicts, but records embed its hit/miss
                 # counters, so runs with and without it must not alias.
-                "sat_cache": getattr(websari, "sat_cache", None) is not None,
+                "sat_cache": websari.sat_cache is not None,
                 # Restart schedule and VSIDS/phase seed steer the search
                 # order: verdict-neutral, counter-visible — same rule.
-                "restart_strategy": getattr(websari, "restart_strategy", "geometric"),
-                "sat_seed": getattr(websari, "sat_seed", 0),
+                "restart_strategy": websari.restart_strategy,
+                "sat_seed": websari.sat_seed,
                 # Ablation switch for the incremental machinery: verdicts
                 # agree either way, embedded counters do not.
-                "sat_incremental": getattr(websari, "sat_incremental", True),
-                # Parse cache and closure-scoped keying are verdict-
-                # neutral too, but records embed parse-cache counters and
-                # closure scoping changes what a key covers — runs with
-                # different switches must not alias.
-                "parse_cache": getattr(websari, "parse_cache", None) is not None,
-                "closure_keys": getattr(websari, "closure_keys", True),
+                "sat_incremental": websari.sat_incremental,
+                # The parse cache is verdict-neutral too, but project
+                # records embed its hit/miss counters — same rule.
+                "parse_cache": websari.parse_cache is not None,
                 # Witness replay adds the ``replay`` section to records:
                 # verdict-neutral, record-visible — runs with and without
                 # it must not serve each other's entries.
-                "replay": getattr(websari, "replay", False),
+                "replay": websari.replay,
             },
         },
         sort_keys=True,

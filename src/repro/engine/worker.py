@@ -2,10 +2,12 @@
 
 A :class:`AuditTask` describes one verification job — either a standalone
 source file or one entry point of a multi-file project (include
-resolution then happens inside the worker).  :func:`execute_task` runs
-the WebSSARI pipeline stage by stage, timing each (parse / filter / AI /
-SAT), and always returns a :class:`FileOutcome` — exceptions become
-structured error records rather than aborting the batch.
+resolution then happens inside the worker); :func:`entry_task` builds
+one from an include scan.  :func:`execute_task` runs the WebSSARI
+pipeline (:meth:`~repro.websari.pipeline.WebSSARI.verify_file`), whose
+stage spans also fill the outcome's timings, and always returns a
+:class:`FileOutcome` — exceptions become structured error records rather
+than aborting the batch.
 
 Everything crossing the process boundary (task in, outcome out) is
 picklable; the outcome additionally round-trips through JSON
@@ -24,11 +26,13 @@ import traceback
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-from repro.obs import Tracer, get_tracer, set_tracer
+from repro.obs import Tracer, set_tracer, stage
 from repro.php.errors import FrontendError
+from repro.php.includes import SourceProject
 from repro.php.parsecache import content_digest
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.php.includes import IncludeScan
     from repro.websari.pipeline import VerificationReport, WebSSARI
 
 __all__ = [
@@ -36,6 +40,7 @@ __all__ = [
     "FileOutcome",
     "FileRef",
     "WorkerSession",
+    "entry_task",
     "execute_task",
     "project_content_digest",
 ]
@@ -48,6 +53,44 @@ def project_content_digest(files: dict[str, str]) -> str:
     hashing :meth:`AuditTask.cache_material`'s joined form."""
     joined = "\x00".join(f"{path}\x01{files[path]}" for path in sorted(files))
     return hashlib.sha256(joined.encode()).hexdigest()
+
+
+def entry_task(
+    index: int,
+    filename: str,
+    project: SourceProject,
+    scan: "IncludeScan",
+    whole: dict,
+) -> "AuditTask":
+    """The task for one project entry, shaped by its include scan.
+
+    * No include statement resolved, missing or dynamic: a standalone
+      source task, keyed on the entry's bytes alone (and sharing cache
+      entries with a plain ``repro audit`` of the same file).  An
+      unparsable entry lands here too.
+    * A bounded closure: a project task carrying exactly that closure,
+      which is also what its cache key hashes.
+    * A widened scan (dynamic include, unparsable member): a task
+      carrying the whole project, keyed on its digest.  ``whole`` is the
+      caller's per-run memo, so the project is read and hashed once.
+    """
+    entry = scan.entry
+    if not (scan.edges or scan.missing or scan.unresolved):
+        return AuditTask(index=index, filename=filename, source=project.source(entry))
+    if not scan.widened:
+        files = {path: project.source(path) for path in sorted(scan.closure)}
+        return AuditTask(index=index, filename=filename, project_files=files, entry=entry)
+    if not whole:
+        files = {path: project.source(path) for path in project.paths()}
+        whole.update(files=files, digest=project_content_digest(files))
+    return AuditTask(
+        index=index,
+        filename=filename,
+        project_files=whole["files"],
+        entry=entry,
+        closure_widened=True,
+        project_digest=whole["digest"],
+    )
 
 
 @dataclass(frozen=True)
@@ -254,114 +297,39 @@ def _run_stages(
     timings: dict[str, float],
     want_report: bool,
 ) -> FileOutcome:
-    from repro.ai.renaming import rename
-    from repro.ai.translate import translate_filter_result
-    from repro.analysis.grouping import group_errors
-    from repro.bmc.checker import check_program
-    from repro.ir.filter import filter_program
-    from repro.php.includes import SourceProject, resolve_includes
-    from repro.php.parser import parse
-    from repro.typestate.ts import analyze_commands
-    from repro.websari.pipeline import VerificationReport, count_statements
-
-    include_warnings: list[str] = []
-    includes_info: dict = {}
-    tracer = get_tracer()
-
-    parse_cache = getattr(websari, "parse_cache", None)
-    do_parse = parse_cache.parse if parse_cache is not None else parse
-
-    clock = time.perf_counter
-    mark = clock()
-    with tracer.span("parse"):
-        if task.project_files is not None:
-            assert task.entry is not None
-            hits_before = parse_cache.hits if parse_cache is not None else 0
-            misses_before = parse_cache.misses if parse_cache is not None else 0
-            project = SourceProject(task.project_files)
-            resolution = resolve_includes(project, task.entry, parse_hook=do_parse)
-            program = resolution.program
-            include_warnings = list(resolution.warnings)
-            # The entry's own program came back on the resolution — no
-            # second parse just to count its statements.
-            assert resolution.entry_program is not None
-            num_statements = count_statements(resolution.entry_program)
-            includes_info = {
-                "edges": len(resolution.edges),
-                "included_files": len(resolution.included_files),
-                "unresolved": len(resolution.unresolved),
-            }
-            if task.closure_widened:
-                includes_info["widened"] = True
-            if parse_cache is not None:
-                includes_info["parse_cache_hits"] = parse_cache.hits - hits_before
-                includes_info["parse_cache_misses"] = parse_cache.misses - misses_before
-        else:
-            # Standalone tasks may still parse through the cache (shared
-            # content across files, warm daemon cycles) but record no
-            # cache counters: their JSONL records stay byte-deterministic
-            # regardless of cache warmth, which the distributed-audit
-            # merge comparison relies on.
-            program = do_parse(task.source or "", task.filename)
-            num_statements = count_statements(program)
-    timings["parse"] = clock() - mark
-
-    mark = clock()
-    with tracer.span("filter"):
-        filtered = filter_program(
-            program,
-            prelude=websari.prelude,
-            max_unfold_depth=websari.max_unfold_depth,
-            sanitize_in_place=websari.sanitize_in_place,
+    """The WebSSARI pipeline on one task, then replay and rendering."""
+    if task.project_files is not None:
+        report, includes = websari.verify_file(
+            task.filename,
+            project=SourceProject(task.project_files),
+            entry=task.entry,
+            timings=timings,
         )
-    timings["filter"] = clock() - mark
-
-    mark = clock()
-    with tracer.span("ai"):
-        ts_report = analyze_commands(filtered.commands, lattice=websari.lattice)
-        ai_program = translate_filter_result(filtered)
-        renamed = rename(ai_program)
-    timings["ai"] = clock() - mark
-
-    solver_backend = getattr(websari, "solver", "cdcl")
-    mark = clock()
-    with tracer.span("sat", backend=solver_backend):
-        bmc_result = check_program(
-            renamed,
-            lattice=websari.lattice,
-            accumulate=websari.accumulate,
-            max_counterexamples=websari.max_counterexamples,
-            solver_backend=solver_backend,
-            sat_cache=getattr(websari, "sat_cache", None),
-            restart_strategy=getattr(websari, "restart_strategy", "geometric"),
-            sat_seed=getattr(websari, "sat_seed", 0),
-            sat_incremental=getattr(websari, "sat_incremental", True),
+        if task.closure_widened:
+            includes["widened"] = True
+    else:
+        # Standalone tasks may still parse through the cache (shared
+        # content across files, warm daemon cycles) but record no cache
+        # counters: their JSONL records stay byte-deterministic
+        # regardless of cache warmth, which the distributed-audit merge
+        # comparison relies on.
+        report, includes = websari.verify_file(
+            task.filename, source=task.source, timings=timings
         )
-        grouping = group_errors(bmc_result)
-    timings["sat"] = clock() - mark
-
-    report = VerificationReport(
-        filename=task.filename,
-        ts=ts_report,
-        bmc=bmc_result,
-        grouping=grouping,
-        num_statements=num_statements,
-        num_ai_branches=ai_program.num_branches,
-        num_ai_assertions=ai_program.num_assertions,
-        warnings=list(ai_program.warnings) + include_warnings,
-    )
 
     replay_info: dict = {}
-    if getattr(websari, "replay", False) and not report.safe:
+    if websari.replay and not report.safe:
         from repro.replay import replay_for_task
 
         # The original sources come from the parse stage's memo; patched
         # sources stay task-local (see repro.replay.replayer._TaskParses).
-        mark = clock()
-        with tracer.span("replay"):
-            replay_info = replay_for_task(task, report, parse_hook=do_parse)
-        timings["replay"] = clock() - mark
+        cache = websari.parse_cache
+        with stage("replay", timings):
+            replay_info = replay_for_task(
+                task, report, parse_hook=cache.parse if cache is not None else None
+            )
 
+    bmc_result = report.bmc
     return FileOutcome(
         filename=task.filename,
         status="ok",
@@ -374,7 +342,7 @@ def _run_stages(
         warnings=list(report.warnings),
         summary=report.summary(),
         detailed=report.detailed_report(),
-        includes=includes_info,
+        includes=includes,
         solver={
             "backend": bmc_result.solver_backend,
             "solve_calls": bmc_result.num_solve_calls,

@@ -56,6 +56,7 @@ from repro.obs.tracer import (
     get_tracer,
     set_tracer,
     span_from_dict,
+    stage,
 )
 
 __all__ = [
@@ -85,6 +86,7 @@ __all__ = [
     "replay_disagreements",
     "set_tracer",
     "span_from_dict",
+    "stage",
     "summarize_run",
     "write_chrome_trace",
 ]

@@ -37,6 +37,7 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 
 __all__ = [
     "NULL_SPAN",
@@ -46,6 +47,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "span_from_dict",
+    "stage",
 ]
 
 
@@ -271,3 +273,24 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
     previous = _active
     _active = tracer if tracer is not None else NULL_TRACER
     return previous
+
+
+@contextmanager
+def stage(name: str, timings: dict[str, float], **attrs):
+    """One timed pipeline stage: a span on the active tracer whose
+    duration is also stored in ``timings[name]``.
+
+    With tracing on, the recorded seconds *are* the span's duration, so
+    per-file stage timings and the trace never disagree; with tracing
+    off this is the only clock read.  A stage that raises records no
+    timing (its span still closes, flagged with the error).
+    """
+    tracer = get_tracer()
+    if tracer.enabled:
+        with tracer.span(name, **attrs) as span:
+            yield
+        timings[name] = span.duration
+    else:
+        started = time.perf_counter()
+        yield
+        timings[name] = time.perf_counter() - started

@@ -28,9 +28,9 @@ from repro.instrument.instrumentor import (
 )
 from repro.bmc.checker import SolverBackend
 from repro.ir.commands import count_commands
-from repro.ir.filter import FilterResult, filter_program
+from repro.ir.filter import filter_program
 from repro.lattice import FiniteLattice
-from repro.obs import get_tracer
+from repro.obs import get_tracer, stage
 from repro.php import ast_nodes as ast
 from repro.php.includes import SourceProject, resolve_includes, scan_includes
 from repro.php.parsecache import ParseCache
@@ -149,7 +149,6 @@ class WebSSARI:
         sat_seed: int = 0,
         sat_incremental: bool = True,
         parse_cache: "ParseCache | None" = None,
-        closure_keys: bool = True,
         replay: bool = False,
     ) -> None:
         self.prelude = prelude if prelude is not None else default_php_prelude()
@@ -180,11 +179,6 @@ class WebSSARI:
         #: verifier and — travelling inside the WorkerSession — every
         #: engine worker it spawns; None disables the layer.
         self.parse_cache = parse_cache
-        #: Scope project cache keys and worker task payloads to each
-        #: entry's transitive include closure instead of the whole
-        #: project (entries with dynamic includes conservatively widen
-        #: back).  False restores whole-project keying/shipping.
-        self.closure_keys = closure_keys
         #: Concrete witness replay (repro.replay): re-execute every BMC
         #: counterexample through the interpreter with a synthesized
         #: request and record confirmed/refuted/unsupported per trace.
@@ -226,34 +220,79 @@ class WebSSARI:
 
         self.parse_cache = ParseCache(persist_dir=Path(cache_root) / "parse")
 
-    # -- single source ---------------------------------------------------------
+    # -- one file --------------------------------------------------------------
 
     def verify_source(self, source: str, filename: str = "<string>") -> VerificationReport:
-        tracer = get_tracer()
-        with tracer.span("file", filename=filename):
-            with tracer.span("parse"):
-                program = parse(source, filename)
-            return self.verify_ast(program, filename)
+        with get_tracer().span("file", filename=filename):
+            return self.verify_file(filename, source=source)[0]
 
     def verify_ast(self, program: ast.Program, filename: str = "<string>") -> VerificationReport:
-        with get_tracer().span("filter"):
+        return self.verify_file(filename, program=program)[0]
+
+    def verify_file(
+        self,
+        filename: str,
+        *,
+        source: str | None = None,
+        program: ast.Program | None = None,
+        project: SourceProject | None = None,
+        entry: str | None = None,
+        timings: dict[str, float] | None = None,
+    ) -> tuple[VerificationReport, dict]:
+        """Run the per-file pipeline on one file and return its report
+        plus the ``includes`` section of its engine record.
+
+        The file is a standalone ``source``, an already-parsed
+        ``program``, or ``entry`` of ``project`` (includes spliced, and
+        the section then counts edges, included files, unresolved paths
+        and — with a parse cache attached — this call's cache hits and
+        misses).  Stages are ``parse`` (skipped for a ``program``),
+        ``filter``, ``ai`` (TS + translate + rename) and ``sat`` (BMC +
+        grouping); each is one tracer span whose seconds land in
+        ``timings``.  Every caller — single files, sequential projects,
+        engine workers — goes through here.
+        """
+        timings = {} if timings is None else timings
+        includes: dict = {}
+        include_warnings: list[str] = []
+        if program is None:
+            cache = self.parse_cache
+            do_parse = cache.parse if cache is not None else parse
+            with stage("parse", timings):
+                if project is None:
+                    program = entry_program = do_parse(source or "", filename)
+                else:
+                    hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+                    resolution = resolve_includes(
+                        project, entry or filename, parse_hook=do_parse
+                    )
+                    program, entry_program = resolution.program, resolution.entry_program
+                    assert entry_program is not None
+                    include_warnings = resolution.warnings
+                    includes = {
+                        "edges": len(resolution.edges),
+                        "included_files": len(resolution.included_files),
+                        "unresolved": len(resolution.unresolved),
+                    }
+                    if cache is not None:
+                        includes["parse_cache_hits"] = cache.hits - hits
+                        includes["parse_cache_misses"] = cache.misses - misses
+                # Statements of the entry's own program, not the spliced one.
+                num_statements = count_statements(entry_program)
+        else:
+            num_statements = count_statements(program)
+        with stage("filter", timings):
             filtered = filter_program(
                 program,
                 prelude=self.prelude,
                 max_unfold_depth=self.max_unfold_depth,
                 sanitize_in_place=self.sanitize_in_place,
             )
-        return self._verify_filtered(filtered, count_statements(program), filename)
-
-    def _verify_filtered(
-        self, filtered: FilterResult, num_statements: int, filename: str
-    ) -> VerificationReport:
-        tracer = get_tracer()
-        with tracer.span("ai"):
+        with stage("ai", timings):
             ts_report = analyze_commands(filtered.commands, lattice=self.lattice)
             ai_program = translate_filter_result(filtered)
             renamed: RenamedProgram = rename(ai_program)
-        with tracer.span("sat", backend=self.solver):
+        with stage("sat", timings, backend=self.solver):
             bmc_result = check_program(
                 renamed,
                 lattice=self.lattice,
@@ -266,7 +305,7 @@ class WebSSARI:
                 sat_incremental=self.sat_incremental,
             )
             grouping = group_errors(bmc_result)
-        return VerificationReport(
+        report = VerificationReport(
             filename=filename,
             ts=ts_report,
             bmc=bmc_result,
@@ -274,8 +313,9 @@ class WebSSARI:
             num_statements=num_statements,
             num_ai_branches=ai_program.num_branches,
             num_ai_assertions=ai_program.num_assertions,
-            warnings=list(ai_program.warnings),
+            warnings=list(ai_program.warnings) + include_warnings,
         )
+        return report, includes
 
     # -- patching ---------------------------------------------------------------
 
@@ -379,28 +419,13 @@ class WebSSARI:
         paths = entries if entries is not None else project.paths()
         if jobs is not None and jobs > 1:
             return self._verify_project_parallel(project, paths, jobs)
-        do_parse = self.parse_cache.parse if self.parse_cache is not None else None
-        reports: list[VerificationReport] = []
-        total_statements = 0
-        for path in paths:
-            resolution = resolve_includes(project, path, parse_hook=do_parse)
-            program = resolution.program
-            assert resolution.entry_program is not None
-            own_statements = count_statements(resolution.entry_program)
-            total_statements += own_statements
-            filtered = filter_program(
-                program,
-                prelude=self.prelude,
-                max_unfold_depth=self.max_unfold_depth,
-                sanitize_in_place=self.sanitize_in_place,
-            )
-            report = self._verify_filtered(filtered, own_statements, path)
-            report.warnings.extend(resolution.warnings)
-            reports.append(report)
+        reports = [
+            self.verify_file(path, project=project, entry=path)[0] for path in paths
+        ]
         return ProjectReport(
             reports=reports,
             num_files=len(project),
-            num_statements=total_statements,
+            num_statements=sum(r.num_statements for r in reports),
         )
 
     def _verify_project_parallel(
@@ -411,61 +436,29 @@ class WebSSARI:
         Each worker resolves includes and verifies one entry, returning
         the full :class:`VerificationReport`.  Analysis failures that the
         sequential path would raise are re-raised here, so the two paths
-        have the same contract.
-
-        With :attr:`closure_keys` (the default) each task carries only
-        the entry's transitive include closure — computed up front with
-        one shared parse pass — so cache keys and pipe payloads scope to
-        what the entry can actually read.  Entries whose closure cannot
-        be bounded (dynamic includes, unparsable members) fall back to
-        the whole project and key on its digest.
+        have the same contract.  Tasks come from the same builder as the
+        watch loop's (:func:`repro.engine.worker.entry_task`), after one
+        up-front include scan per entry.
         """
-        from repro.engine import AuditEngine, AuditTask, EngineConfig
-        from repro.engine.worker import project_content_digest
+        from repro.engine import AuditEngine, EngineConfig
+        from repro.engine.worker import entry_task
 
-        files = {path: project.source(path) for path in project.paths()}
-        tasks: list[AuditTask] = []
-        if self.closure_keys:
-            # One shared parse pass across every entry's scan: without an
-            # attached cache a throwaway in-memory memo still guarantees
-            # the prelude parses once during scanning, not once per entry.
-            scan_parse = (self.parse_cache or ParseCache()).parse
-            whole_digest: str | None = None
-            for i, path in enumerate(paths):
-                scan = scan_includes(project, path, parse_hook=scan_parse)
-                if scan.widened:
-                    if whole_digest is None:
-                        whole_digest = project_content_digest(files)
-                    tasks.append(
-                        AuditTask(
-                            index=i,
-                            filename=path,
-                            project_files=files,
-                            entry=path,
-                            closure_widened=True,
-                            project_digest=whole_digest,
-                        )
-                    )
-                else:
-                    tasks.append(
-                        AuditTask(
-                            index=i,
-                            filename=path,
-                            project_files={p: files[p] for p in sorted(scan.closure)},
-                            entry=path,
-                        )
-                    )
-        else:
-            tasks = [
-                AuditTask(index=i, filename=path, project_files=files, entry=path)
-                for i, path in enumerate(paths)
-            ]
+        # One shared parse pass across every entry's scan: without an
+        # attached cache a throwaway in-memory memo still guarantees the
+        # prelude parses once during scanning, not once per entry.
+        scan_parse = (self.parse_cache if self.parse_cache is not None else ParseCache()).parse
+        whole: dict = {}
+        tasks = [
+            entry_task(
+                i, path, project, scan_includes(project, path, parse_hook=scan_parse), whole
+            )
+            for i, path in enumerate(paths)
+        ]
         engine = AuditEngine(
             websari=self, config=EngineConfig(jobs=jobs, want_reports=True)
         )
         result = engine.run(tasks)
         reports: list[VerificationReport] = []
-        total_statements = 0
         for outcome in result.outcomes:
             if outcome.report is None:
                 if outcome.status == "frontend-error":
@@ -476,9 +469,8 @@ class WebSSARI:
                     f"{outcome.filename}: {outcome.status}: {outcome.error}"
                 )
             reports.append(outcome.report)
-            total_statements += outcome.num_statements
         return ProjectReport(
             reports=reports,
             num_files=len(project),
-            num_statements=total_statements,
+            num_statements=sum(r.num_statements for r in reports),
         )

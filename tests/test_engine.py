@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +411,24 @@ class TestTracing:
         assert 'repro_files_total{status="frontend-error"} 1' in text
         assert 'repro_verdicts_total{verdict="vulnerable"} 1' in text
         assert 'repro_solver_events_total{backend="cdcl",kind="solve_calls"}' in text
+
+    def test_stage_timings_are_the_stage_spans(self):
+        """One timing source: each ok outcome's ``timings`` are exactly
+        its stitched stage spans' durations."""
+        examples = Path(__file__).resolve().parent.parent / "examples" / "php"
+        sources = [(str(p), p.read_text()) for p in sorted(examples.glob("*.php"))]
+        config = self._config(jobs=1)
+        result = AuditEngine(websari=WebSSARI(replay=True), config=config).run(
+            make_tasks(sources)
+        )
+        roots = {s.name: s for s in self._file_roots(config)}
+        ok = [o for o in result.outcomes if o.status == "ok"]
+        assert ok and any("replay" in o.timings for o in ok)
+        for outcome in ok:
+            stages = roots["file:" + outcome.filename].children
+            assert [s.name for s in stages] == list(outcome.timings)
+            for span in stages:
+                assert abs(outcome.timings[span.name] - span.duration) <= 1e-3
 
     def test_no_tracer_collects_no_trace(self):
         result = AuditEngine(config=EngineConfig(jobs=1)).run(make_tasks([("v.php", VULN)]))

@@ -184,8 +184,7 @@ class TestClosureScopedCacheKeys:
     def test_policy_fingerprint_keys_cache_switches_apart(self):
         plain = policy_fingerprint(WebSSARI())
         cached = policy_fingerprint(WebSSARI(parse_cache=ParseCache()))
-        unscoped = policy_fingerprint(WebSSARI(closure_keys=False))
-        assert len({plain, cached, unscoped}) == 3
+        assert plain != cached
 
 
 class TestPipeSliceDedup:

@@ -1,11 +1,19 @@
 """Integration tests for the end-to-end WebSSARI pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.engine.worker as worker_module
 from repro import WebSSARI
+from repro.corpus import FIGURE_10
+from repro.corpus.generator import generate_catalog_project
+from repro.engine import AuditEngine
+from repro.engine.worker import entry_task, execute_task, project_content_digest
 from repro.instrument import GUARD_FUNCTION_NAME
 from repro.interp import HttpRequest, MockDatabase, run_php
-from repro.php import SourceProject
+from repro.php import SourceProject, scan_includes
+from repro.php.parsecache import ParseCache
 from repro.websari import count_statements
 from repro.php.parser import parse
 
@@ -74,6 +82,18 @@ class TestVerifySource:
     def test_statement_count(self):
         program = parse("<?php $a = 1; if ($c) { $b = 2; } while ($d) { $e = 3; }")
         assert count_statements(program) == 5
+
+    def test_parses_through_attached_cache(self):
+        cache = ParseCache()
+        websari = WebSSARI(parse_cache=cache)
+        first = websari.verify_source(FIGURE7, "f.php")
+        assert (cache.hits, cache.misses) == (0, 1)
+        second = websari.verify_source(FIGURE7, "f.php")
+        assert (cache.hits, cache.misses) == (1, 1)
+        # Equal up to solver timings, which no two runs share.
+        assert replace(first, bmc=None) == replace(second, bmc=None)
+        assert first.bmc.assertions == second.bmc.assertions
+        assert first.detailed_report() == second.detailed_report()
 
 
 class TestPatching:
@@ -237,3 +257,118 @@ class TestPatchProject:
         project = SourceProject({"v.php": "<?php echo $_GET['a'];"})
         with pytest.raises(ValueError):
             websari.patch_project(project, strategy="nope")
+
+
+def entry_tasks(project, whole=None):
+    """Tasks for every entry of ``project`` through the shared builder."""
+    whole = {} if whole is None else whole
+    return [
+        entry_task(i, path, project, scan_includes(project, path), whole)
+        for i, path in enumerate(project.paths())
+    ]
+
+
+class TestOnePipeline:
+    """The engine worker and ``verify_project`` run one stage sequence."""
+
+    def test_worker_matches_sequential_verify_project(self):
+        project = generate_catalog_project(FIGURE_10[0], seed=2004).project
+        websari = WebSSARI()
+        sequential = {r.filename: r for r in websari.verify_project(project).reports}
+        tasks = entry_tasks(project)
+        # The corpus exercises both bounded shapes.
+        assert {t.source is not None for t in tasks} == {True, False}
+        for task in tasks:
+            outcome = execute_task(task, websari, want_report=True)
+            report = sequential[task.filename]
+            assert outcome.status == "ok", outcome.error
+            assert outcome.summary == report.summary()
+            assert outcome.detailed == report.detailed_report()
+            assert outcome.warnings == report.warnings
+            assert outcome.num_statements == report.num_statements
+            assert outcome.ts_errors == report.ts_error_count
+            assert outcome.bmc_groups == report.bmc_group_count
+
+
+LIB = "<?php $x = $_GET['q'];\n"
+
+
+class TestEntryTask:
+    @pytest.mark.parametrize(
+        "files, shape",
+        [
+            ({"a.php": "<?php echo 'x';\n", "lib.php": LIB}, "standalone"),
+            ({"a.php": "<?php if (\n", "lib.php": LIB}, "standalone"),
+            ({"a.php": "<?php include 'lib.php'; echo $x;\n", "lib.php": LIB}, "closure"),
+            ({"a.php": "<?php include 'nope.php'; echo 1;\n", "lib.php": LIB}, "closure"),
+            ({"a.php": "<?php include_once 'a.php'; echo 1;\n", "lib.php": LIB}, "closure"),
+            ({"a.php": "<?php include $page; echo 1;\n", "lib.php": LIB}, "widened"),
+            ({"a.php": "<?php include 'bad.php';\n", "bad.php": "<?php if (\n"}, "widened"),
+        ],
+        ids=["plain", "unparsable", "include", "missing", "self", "dynamic", "bad-member"],
+    )
+    def test_shapes(self, files, shape):
+        project = SourceProject(files)
+        task = entry_task(3, "shown/a.php", project, scan_includes(project, "a.php"), {})
+        assert (task.index, task.filename) == (3, "shown/a.php")
+        if shape == "standalone":
+            assert task.source == files["a.php"]
+            assert task.project_files is None and task.entry is None
+        elif shape == "closure":
+            assert task.source is None and task.entry == "a.php"
+            scan = scan_includes(project, "a.php")
+            assert task.project_files == {p: files[p] for p in scan.closure}
+            assert not task.closure_widened and task.project_digest is None
+        else:
+            assert task.project_files == files and task.entry == "a.php"
+            assert task.closure_widened
+            assert task.project_digest == project_content_digest(files)
+
+    def test_widened_digest_computed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(files):
+            calls.append(files)
+            return project_content_digest(files)
+
+        monkeypatch.setattr(worker_module, "project_content_digest", counting)
+        files = {f"dyn{i}.php": f"<?php include $p{i};\n" for i in range(3)}
+        files["lib.php"] = LIB
+        tasks = entry_tasks(SourceProject(files))
+        widened = [t for t in tasks if t.closure_widened]
+        assert len(widened) == 3 and len(calls) == 1
+        assert {t.project_digest for t in widened} == {project_content_digest(files)}
+
+    def test_verify_project_and_watch_loop_build_identical_tasks(
+        self, tmp_path, monkeypatch
+    ):
+        from daemonutil import FakeClock, TreeDriver
+
+        from repro.daemon import WatchLoop
+
+        project = generate_catalog_project(FIGURE_10[0], seed=2004).project
+        files = {path: project.source(path) for path in project.paths()}
+        files["dyn0.php"] = "<?php include $page; echo 'a';\n"
+        files["dyn1.php"] = "<?php include $page; echo 'b';\n"
+        captured = []
+        real_run = AuditEngine.run
+
+        def capture(engine, tasks):
+            captured.append(list(tasks))
+            return real_run(engine, tasks)
+
+        monkeypatch.setattr(AuditEngine, "run", capture)
+        WebSSARI().verify_project(SourceProject(files), jobs=2)
+
+        clock = FakeClock()
+        driver = TreeDriver(tmp_path / "tree", clock)
+        for path, text in files.items():
+            driver.write(path, text)
+        loop = WatchLoop(driver.root, WebSSARI(), clock=clock, debounce=0.0)
+        loop.run_cycle()
+
+        pooled, watched = captured
+        watched = [replace(t, filename=loop._rel(t.filename)) for t in watched]
+        assert pooled == watched
+        shapes = {(t.source is not None, t.closure_widened) for t in pooled}
+        assert shapes == {(True, False), (False, False), (False, True)}
