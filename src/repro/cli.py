@@ -10,7 +10,6 @@ python -m repro audit   dir/ [--jobs N] [--timeout S] [--cache-dir D]
                         [--no-cache] [--jsonl out.jsonl] [--detailed]
                         [--quiet] [--trace out.json] [--metrics out.prom]
                         [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--parse-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
                         [--shard I/N] [--start-method fork|spawn]
                         [--replay on|off]
@@ -19,7 +18,6 @@ python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
                         [--out-dir D] [--serve-metrics [HOST]:PORT]
                         [--once] [--quiet]
                         [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--parse-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
                         [--start-method fork|spawn] [--replay on|off]
 python -m repro serve   [--bind [HOST]:PORT] [--lease-timeout S]
@@ -29,7 +27,6 @@ python -m repro work    --connect URL [--node NAME] [--jobs N]
                         [--lease N] [--poll S] [--timeout S]
                         [--cache-dir D] [--no-cache] [--quiet]
                         [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--parse-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
                         [--start-method fork|spawn] [--replay on|off]
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
@@ -203,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/SOLVER.md)",
     )
     audit.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="memoize parse results by content hash, persisted under "
-        "<cache-dir>/parse so shared include files parse once per "
-        "content across entries, workers, and runs (see docs/AUDIT_ENGINE.md)",
-    )
-    audit.add_argument(
         "--restart-strategy", choices=("geometric", "luby"), default="geometric",
         help="CDCL restart schedule (primary lane in portfolio mode)",
     )
@@ -305,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument(
         "--sat-cache", choices=("on", "off"), default="on",
         help="persistent SAT-query memo under <cache-dir>/sat (see docs/SOLVER.md)",
-    )
-    watch.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="content-hash parse memo under <cache-dir>/parse "
-        "(see docs/DAEMON.md)",
     )
     watch.add_argument(
         "--restart-strategy", choices=("geometric", "luby"), default="geometric",
@@ -428,11 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent SAT-query memo under <cache-dir>/sat",
     )
     work.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="content-hash parse memo under <cache-dir>/parse (folded into "
-        "the policy fingerprint: must match the rest of the fleet)",
-    )
-    work.add_argument(
         "--restart-strategy", choices=("geometric", "luby"), default="geometric",
         help="CDCL restart schedule (primary lane in portfolio mode)",
     )
@@ -541,15 +522,11 @@ def _collect_php_files(paths: list[Path]) -> list[Path]:
 
 
 def _make_websari(args: argparse.Namespace) -> WebSSARI:
-    from repro.php.parsecache import ParseCache
     from repro.sat.cache import SatQueryCache
 
     prelude = load_prelude(args.prelude) if args.prelude else None
     sat_cache = (
         SatQueryCache() if getattr(args, "sat_cache", "off") == "on" else None
-    )
-    parse_cache = (
-        ParseCache() if getattr(args, "parse_cache", "off") == "on" else None
     )
     return WebSSARI(
         prelude=prelude,
@@ -557,7 +534,6 @@ def _make_websari(args: argparse.Namespace) -> WebSSARI:
         sat_cache=sat_cache,
         restart_strategy=getattr(args, "restart_strategy", "geometric"),
         sat_seed=getattr(args, "sat_seed", 0),
-        parse_cache=parse_cache,
         replay=getattr(args, "replay", "off") == "on",
     )
 
@@ -716,10 +692,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     websari = _make_websari(args)
     # Persist SAT query results under the engine's cache root even when
     # --no-cache disables the file-level result cache: the layers are
-    # independent (see docs/SOLVER.md); the parse cache follows the same
-    # rule under <cache-dir>/parse.
+    # independent (see docs/SOLVER.md).
     websari.attach_persistent_sat_cache(args.cache_dir or default_cache_dir())
-    websari.attach_persistent_parse_cache(args.cache_dir or default_cache_dir())
     files = _collect_php_files(args.paths)
     if not files:
         print("no PHP files found", file=sys.stderr)
@@ -812,7 +786,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     websari = _make_websari(args)
     cache_root = Path(args.cache_dir or default_cache_dir())
     websari.attach_persistent_sat_cache(cache_root)
-    websari.attach_persistent_parse_cache(cache_root)
     # Hot layer on top of the shared on-disk cache: unchanged files are
     # answered from memory for the daemon's lifetime.
     cache = None if args.no_cache else HotResultCache(cache_root)
@@ -962,7 +935,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
     websari = _make_websari(args)
     cache_root = args.cache_dir or default_cache_dir()
     websari.attach_persistent_sat_cache(cache_root)
-    websari.attach_persistent_parse_cache(cache_root)
     cache = None if args.no_cache else ResultCache(cache_root)
     stop = threading.Event()
 

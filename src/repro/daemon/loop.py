@@ -199,8 +199,7 @@ class WatchLoop:
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
         project = _TreeProject({self._rel(path): path for path in sorted(tracked)})
-        parse_cache = self.websari.parse_cache
-        do_parse = parse_cache.parse if parse_cache is not None else None
+        do_parse = self.websari.parse_cache.parse
         whole: dict = {}
 
         tasks: list[AuditTask] = []

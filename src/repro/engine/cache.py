@@ -105,9 +105,6 @@ def policy_fingerprint(websari: "WebSSARI") -> str:
                 # Ablation switch for the incremental machinery: verdicts
                 # agree either way, embedded counters do not.
                 "sat_incremental": websari.sat_incremental,
-                # The parse cache is verdict-neutral too, but project
-                # records embed its hit/miss counters — same rule.
-                "parse_cache": websari.parse_cache is not None,
                 # Witness replay adds the ``replay`` section to records:
                 # verdict-neutral, record-visible — runs with and without
                 # it must not serve each other's entries.

@@ -65,9 +65,10 @@ def entry_task(
     """The task for one project entry, shaped by its include scan.
 
     * No include statement resolved, missing or dynamic: a standalone
-      source task, keyed on the entry's bytes alone (and sharing cache
-      entries with a plain ``repro audit`` of the same file).  An
-      unparsable entry lands here too.
+      source task, keyed on the entry's bytes.  It names the entry, so
+      the worker parses it under the project-relative name the scan
+      already parsed (one parse per file, and spans that read like a
+      closure entry's).  An unparsable entry lands here too.
     * A bounded closure: a project task carrying exactly that closure,
       which is also what its cache key hashes.
     * A widened scan (dynamic include, unparsable member): a task
@@ -76,7 +77,9 @@ def entry_task(
     """
     entry = scan.entry
     if not (scan.edges or scan.missing or scan.unresolved):
-        return AuditTask(index=index, filename=filename, source=project.source(entry))
+        return AuditTask(
+            index=index, filename=filename, source=project.source(entry), entry=entry
+        )
     if not scan.widened:
         files = {path: project.source(path) for path in sorted(scan.closure)}
         return AuditTask(index=index, filename=filename, project_files=files, entry=entry)
@@ -139,6 +142,9 @@ class AuditTask:
     #: what ``cache_material`` hashes, so an edit to an included file
     #: invalidates precisely the entries that splice it.
     project_files: dict[str, str] | None = None
+    #: Project mode: the entry's project-relative path.  Standalone mode:
+    #: the name the source is parsed under, when it differs from
+    #: ``filename`` (a project entry with no includes).
     entry: str | None = None
     #: True when the include scan could not bound this entry's
     #: dependency set (dynamic includes / unparsable members); the task
@@ -161,7 +167,10 @@ class AuditTask:
         conservatively invalidates them.
         """
         if self.project_files is None:
-            return self.source or "", f"file={self.filename}"
+            extra = f"file={self.filename}"
+            if self.entry is not None:
+                extra += f"|entry={self.entry}"
+            return self.source or "", extra
         if self.project_digest is not None:
             return self.project_digest, f"entry={self.entry}|closure=widened"
         joined = "\x00".join(
@@ -203,9 +212,9 @@ class FileOutcome:
     slow_queries: list[dict] = field(default_factory=list)
     #: Include-layer facts for project entries: ``edges`` (direct
     #: includer→included edges seen while splicing), ``included_files``,
-    #: ``unresolved`` (dynamic include paths), and — when a parse cache
-    #: is attached — ``parse_cache_hits``/``parse_cache_misses`` deltas
-    #: for this task.  Empty for standalone tasks.
+    #: ``unresolved`` (dynamic include paths), and the
+    #: ``parse_cache_hits``/``parse_cache_misses`` deltas for this task.
+    #: Empty for standalone tasks.
     includes: dict = field(default_factory=dict)
     #: Concrete witness replay results (``repro.replay``): per-trace
     #: verdicts plus confirmed/refuted/unsupported counts and the
@@ -308,13 +317,13 @@ def _run_stages(
         if task.closure_widened:
             includes["widened"] = True
     else:
-        # Standalone tasks may still parse through the cache (shared
-        # content across files, warm daemon cycles) but record no cache
+        # Standalone tasks parse through the cache too (a watch entry
+        # under the name its include scan parsed) but record no cache
         # counters: their JSONL records stay byte-deterministic
         # regardless of cache warmth, which the distributed-audit merge
         # comparison relies on.
         report, includes = websari.verify_file(
-            task.filename, source=task.source, timings=timings
+            task.filename, source=task.source, entry=task.entry, timings=timings
         )
 
     replay_info: dict = {}
@@ -323,10 +332,9 @@ def _run_stages(
 
         # The original sources come from the parse stage's memo; patched
         # sources stay task-local (see repro.replay.replayer._TaskParses).
-        cache = websari.parse_cache
         with stage("replay", timings):
             replay_info = replay_for_task(
-                task, report, parse_hook=cache.parse if cache is not None else None
+                task, report, parse_hook=websari.parse_cache.parse
             )
 
     bmc_result = report.bmc

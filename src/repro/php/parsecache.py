@@ -1,15 +1,14 @@
-"""Content-hash-keyed parse cache and the persisted include graph.
+"""Content-hash-keyed parse memo and the persisted include graph.
 
 A corpus audit parses the same shared prelude once per entry per run;
-``repro watch`` re-parses it every cycle.  Both are pure waste: an AST is
-a deterministic function of (source text, filename), and every AST node
-is a frozen dataclass — immutable, safely shared between consumers and
-picklable across process boundaries.  :class:`ParseCache` memoizes
-``parse`` on exactly that function: an in-memory LRU for one process
-plus optional on-disk persistence using the same git-object fan-out and
-atomic-write discipline as the SAT query cache (``repro.sat.cache``), so
-concurrent workers and consecutive runs share parses through one
-directory.
+``repro watch`` scans every entry's includes and then verifies it.  Both
+would parse the same text several times.  An AST is a deterministic
+function of (source text, filename), and every AST node is a frozen
+dataclass — immutable and safely shared between consumers.
+:class:`ParseCache` memoizes ``parse`` on exactly that function, in
+memory, for one process: each request parses each file once.  Nothing is
+written to disk; re-parsing is cheaper than reading a stored tree back,
+and the cache directory holds only plain data.
 
 :class:`IncludeGraph` is the other half of the layer: a persisted record
 of ``includer → included`` edges (with the content hash each file had
@@ -17,13 +16,8 @@ when scanned), built from :func:`repro.php.includes.scan_includes`
 results.  Its reverse closure answers the daemon's invalidation
 question — "a shared library changed; which entries must re-audit?" —
 and its forward closure is what scopes cache keys and worker task slices
-to each entry's true dependency set (see ``repro.engine.worker``).
-
-Both stores live under the engine cache root (``<root>/parse`` and
-``<root>/include-graph.json``); keys embed :data:`PARSE_CACHE_VERSION`
-so format changes turn stale entries into misses, never wrong answers.
-Disk entries are pickled ASTs — the cache directory is the same trust
-domain as the result cache (local, user-owned), not an import surface.
+to each entry's true dependency set (see ``repro.engine.worker``).  It
+lives under the engine cache root as ``<root>/include-graph.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from collections import OrderedDict
 from collections.abc import Iterable
@@ -41,16 +34,10 @@ from repro.php import ast_nodes as ast
 from repro.php.parser import parse
 
 __all__ = [
-    "PARSE_CACHE_VERSION",
     "ParseCache",
     "IncludeGraph",
     "content_digest",
 ]
-
-#: Bump whenever the AST node layout or parser semantics change; stale
-#: pickled programs then become clean misses instead of crashes or
-#: wrong-shape trees.
-PARSE_CACHE_VERSION = "1"
 
 
 def content_digest(text: str) -> str:
@@ -67,15 +54,15 @@ class ParseCache:
     Shared preludes keep their path across entries, so cross-entry reuse
     is unaffected.
 
-    In-memory LRU bounded by ``max_entries``; with ``persist_dir`` set,
-    programs are additionally pickled to disk (atomic temp-file + rename,
-    tolerating concurrent writers) and disk lookups backfill the LRU.
-    Picklable: the LRU contents are dropped on pickling so shipping the
-    cache to spawn-start workers stays cheap — workers re-warm from disk.
+    An in-memory LRU bounded by ``max_entries``.  Pickling drops the
+    memo, so shipping the cache to spawn-start workers stays cheap; each
+    worker then fills its own.
     """
 
     def __init__(self, persist_dir: str | Path | None = None, max_entries: int = 4096) -> None:
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
+        # ``persist_dir`` is accepted and ignored: the cache no longer
+        # writes to disk, but the pipeline benchmark's timed subclass
+        # (bench/replica.py) still passes it.
         self.max_entries = max_entries
         self._memo: OrderedDict[str, ast.Program] = OrderedDict()
         #: Process-local probe counters; per-outcome deltas feed the
@@ -83,101 +70,37 @@ class ParseCache:
         self.hits = 0
         self.misses = 0
 
-    # -- pickling ---------------------------------------------------------
-
     def __getstate__(self) -> dict:
-        return {
-            "persist_dir": self.persist_dir,
-            "max_entries": self.max_entries,
-        }
+        return {"max_entries": self.max_entries}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["persist_dir"], state["max_entries"])
-
-    # -- keying -----------------------------------------------------------
+        self.__init__(max_entries=state["max_entries"])
 
     @staticmethod
     def key(source: str, filename: str) -> str:
         digest = hashlib.sha256()
         digest.update(b"repro-parse\x00")
-        digest.update(PARSE_CACHE_VERSION.encode())
-        digest.update(b"\x00")
         digest.update(filename.encode())
         digest.update(b"\x00")
         digest.update(source.encode())
         return digest.hexdigest()
 
-    def _path(self, key: str) -> Path:
-        assert self.persist_dir is not None
-        return self.persist_dir / key[:2] / f"{key}.pkl"
-
-    # -- the hook ---------------------------------------------------------
-
     def parse(self, source: str, filename: str = "<string>") -> ast.Program:
         """Drop-in for :func:`repro.php.parser.parse` (parse errors
         propagate unchanged; only successful parses are cached)."""
         key = self.key(source, filename)
-        program = self._memo.get(key)
+        memo = self._memo
+        program = memo.get(key)
         if program is not None:
-            self._memo.move_to_end(key)
+            memo.move_to_end(key)
             self.hits += 1
             return program
-        if self.persist_dir is not None:
-            program = self._load(key)
-            if program is not None:
-                self._remember(key, program)
-                self.hits += 1
-                return program
         self.misses += 1
         program = parse(source, filename)
-        self._remember(key, program)
-        self._store(key, program)
+        memo[key] = program
+        if len(memo) > self.max_entries:
+            memo.popitem(last=False)
         return program
-
-    # -- store ------------------------------------------------------------
-
-    def _load(self, key: str) -> ast.Program | None:
-        path = self._path(key)
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            program = pickle.loads(payload)
-        except Exception:  # noqa: BLE001 - any torn/stale pickle is a miss
-            program = None
-        if isinstance(program, ast.Program):
-            return program
-        try:  # corrupt or wrong-shape entry: evict
-            path.unlink()
-        except OSError:
-            pass
-        return None
-
-    def _store(self, key: str, program: ast.Program) -> None:
-        if self.persist_dir is None:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL))
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        except OSError:
-            pass  # persistence is best-effort; the memo already has it
-
-    def _remember(self, key: str, program: ast.Program) -> None:
-        self._memo[key] = program
-        self._memo.move_to_end(key)
-        while len(self._memo) > self.max_entries:
-            self._memo.popitem(last=False)
 
 
 class IncludeGraph:

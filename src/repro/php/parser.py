@@ -90,6 +90,9 @@ _BINARY_TOKEN_KINDS = {
 
 _INCLUDE_KEYWORDS = ("include", "include_once", "require", "require_once")
 
+_EOF = TokenKind.EOF
+_KEYWORD = TokenKind.KEYWORD
+
 
 class Parser:
     """Parses one token stream into a :class:`repro.php.ast_nodes.Program`."""
@@ -102,39 +105,51 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        # ``_advance`` never moves past EOF, so only a look-ahead can run
+        # off the end; it sees the EOF token again.
+        if ahead:
+            index = self._pos + ahead
+            tokens = self._tokens
+            return tokens[index] if index < len(tokens) else tokens[-1]
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not _EOF:
             self._pos += 1
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _check_keyword(self, *words: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.KEYWORD and token.value in words
+        token = self._tokens[self._pos]
+        return token.kind is _KEYWORD and token.value in words
 
     def _accept(self, kind: TokenKind) -> Token | None:
-        if self._check(kind):
-            return self._advance()
-        return None
+        token = self._tokens[self._pos]
+        if token.kind is not kind:
+            return None
+        if kind is not _EOF:
+            self._pos += 1
+        return token
 
     def _accept_keyword(self, *words: str) -> Token | None:
-        if self._check_keyword(*words):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is _KEYWORD and token.value in words:
+            self._pos += 1
+            return token
         return None
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r} {context}, found {token}", token.span
             )
-        return self._advance()
+        if kind is not _EOF:
+            self._pos += 1
+        return token
 
     def _expect_keyword(self, word: str, context: str) -> Token:
         token = self._peek()

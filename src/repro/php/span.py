@@ -9,13 +9,12 @@ are inserted into the verified PHP files).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Position", "Span"]
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
+class Position(NamedTuple):
     """A point in a source file: 0-based byte offset, 1-based line/column."""
 
     offset: int
@@ -26,8 +25,7 @@ class Position:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
     """A half-open range [start, end) within a named source file."""
 
     filename: str
@@ -45,13 +43,17 @@ class Span:
         return cls.point(label, 0, 0, 0)
 
     def merge(self, other: "Span") -> "Span":
-        """Smallest span covering both; filenames must agree."""
+        """Smallest span covering both; filenames must agree.  On equal
+        offsets the endpoint of ``self`` wins."""
         if self.filename != other.filename:
             # Spans from different files (e.g. across an include boundary)
             # keep the earlier file's identity.
             return self
-        start = min(self.start, other.start, key=lambda p: p.offset)
-        end = max(self.end, other.end, key=lambda p: p.offset)
+        start, end = self.start, self.end
+        if other.start.offset < start.offset:
+            start = other.start
+        if other.end.offset > end.offset:
+            end = other.end
         return Span(self.filename, start, end)
 
     @property

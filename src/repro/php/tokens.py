@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.php.span import Span
 
@@ -84,6 +83,10 @@ class TokenKind(enum.Enum):
     def __repr__(self) -> str:
         return f"TokenKind.{self.name}"
 
+    # Members are singletons: identity hashing keeps dict lookups keyed
+    # on kinds in C instead of Enum's Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
 
 #: Reserved words recognized by the lexer (lower-cased comparison; PHP
 #: keywords are case-insensitive).
@@ -146,8 +149,7 @@ KEYWORDS = frozenset(
 CASTS = frozenset({"int", "integer", "bool", "boolean", "float", "double", "real", "string", "array", "object"})
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` depends on the kind: the variable name (without ``$``) for

@@ -420,8 +420,8 @@ def replay_for_task(task, report, parse_hook: ParseHook | None = None) -> dict:
             entry = task.entry or task.filename
             sources.setdefault(entry, "")
         else:
-            sources = {task.filename: task.source or ""}
-            entry = task.filename
+            entry = task.entry or task.filename
+            sources = {entry: task.source or ""}
         results = replay_counterexamples(
             sources,
             entry,

@@ -34,7 +34,6 @@ from repro.obs import get_tracer, stage
 from repro.php import ast_nodes as ast
 from repro.php.includes import SourceProject, resolve_includes, scan_includes
 from repro.php.parsecache import ParseCache
-from repro.php.parser import parse
 from repro.policy.prelude import Prelude, default_php_prelude
 from repro.sat.cache import SatQueryCache
 from repro.typestate.ts import TSReport, analyze_commands
@@ -175,10 +174,10 @@ class WebSSARI:
         #: True is the production default;
         #: False measures the pre-incremental baseline in-process.
         self.sat_incremental = sat_incremental
-        #: Content-hash parse memo (repro.php.parsecache) shared by this
-        #: verifier and — travelling inside the WorkerSession — every
-        #: engine worker it spawns; None disables the layer.
-        self.parse_cache = parse_cache
+        #: In-memory content-hash parse memo (repro.php.parsecache): each
+        #: file text is parsed once per verifier.  Engine workers receive
+        #: an empty copy inside their WorkerSession and fill their own.
+        self.parse_cache = parse_cache if parse_cache is not None else ParseCache()
         #: Concrete witness replay (repro.replay): re-execute every BMC
         #: counterexample through the interpreter with a synthesized
         #: request and record confirmed/refuted/unsupported per trace.
@@ -204,22 +203,6 @@ class WebSSARI:
 
         self.sat_cache = SatQueryCache(persist_dir=Path(cache_root) / "sat")
 
-    def attach_persistent_parse_cache(self, cache_root: "str | Path") -> None:
-        """Re-home the parse cache under ``<cache_root>/parse``.
-
-        No-op when the verifier was built without a parse cache — same
-        contract as :meth:`attach_persistent_sat_cache`.  Workers re-warm
-        from the shared directory (the in-memory memo is dropped when the
-        cache pickles across the process boundary).
-        """
-        if self.parse_cache is None:
-            return
-        from pathlib import Path
-
-        from repro.php.parsecache import ParseCache
-
-        self.parse_cache = ParseCache(persist_dir=Path(cache_root) / "parse")
-
     # -- one file --------------------------------------------------------------
 
     def verify_source(self, source: str, filename: str = "<string>") -> VerificationReport:
@@ -242,29 +225,29 @@ class WebSSARI:
         """Run the per-file pipeline on one file and return its report
         plus the ``includes`` section of its engine record.
 
-        The file is a standalone ``source``, an already-parsed
+        The file is a standalone ``source`` (parsed under the name
+        ``entry`` when given, else ``filename``), an already-parsed
         ``program``, or ``entry`` of ``project`` (includes spliced, and
         the section then counts edges, included files, unresolved paths
-        and — with a parse cache attached — this call's cache hits and
-        misses).  Stages are ``parse`` (skipped for a ``program``),
-        ``filter``, ``ai`` (TS + translate + rename) and ``sat`` (BMC +
-        grouping); each is one tracer span whose seconds land in
-        ``timings``.  Every caller — single files, sequential projects,
-        engine workers — goes through here.
+        and this call's parse-cache hits and misses).  Stages are
+        ``parse`` (skipped for a ``program``), ``filter``, ``ai`` (TS +
+        translate + rename) and ``sat`` (BMC + grouping); each is one
+        tracer span whose seconds land in ``timings``.  Every caller —
+        single files, sequential projects, engine workers — goes through
+        here.
         """
         timings = {} if timings is None else timings
         includes: dict = {}
         include_warnings: list[str] = []
         if program is None:
             cache = self.parse_cache
-            do_parse = cache.parse if cache is not None else parse
             with stage("parse", timings):
                 if project is None:
-                    program = entry_program = do_parse(source or "", filename)
+                    program = entry_program = cache.parse(source or "", entry or filename)
                 else:
-                    hits, misses = (cache.hits, cache.misses) if cache is not None else (0, 0)
+                    hits, misses = cache.hits, cache.misses
                     resolution = resolve_includes(
-                        project, entry or filename, parse_hook=do_parse
+                        project, entry or filename, parse_hook=cache.parse
                     )
                     program, entry_program = resolution.program, resolution.entry_program
                     assert entry_program is not None
@@ -273,10 +256,9 @@ class WebSSARI:
                         "edges": len(resolution.edges),
                         "included_files": len(resolution.included_files),
                         "unresolved": len(resolution.unresolved),
+                        "parse_cache_hits": cache.hits - hits,
+                        "parse_cache_misses": cache.misses - misses,
                     }
-                    if cache is not None:
-                        includes["parse_cache_hits"] = cache.hits - hits
-                        includes["parse_cache_misses"] = cache.misses - misses
                 # Statements of the entry's own program, not the spliced one.
                 num_statements = count_statements(entry_program)
         else:
@@ -443,10 +425,9 @@ class WebSSARI:
         from repro.engine import AuditEngine, EngineConfig
         from repro.engine.worker import entry_task
 
-        # One shared parse pass across every entry's scan: without an
-        # attached cache a throwaway in-memory memo still guarantees the
-        # prelude parses once during scanning, not once per entry.
-        scan_parse = (self.parse_cache if self.parse_cache is not None else ParseCache()).parse
+        # One shared parse pass across every entry's scan: the prelude
+        # parses once during scanning, not once per entry.
+        scan_parse = self.parse_cache.parse
         whole: dict = {}
         tasks = [
             entry_task(

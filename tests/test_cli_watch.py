@@ -58,6 +58,32 @@ class TestOnceMode:
         assert trailer["type"] == "stats"
         assert trailer["cycle"] == 1 and trailer["watched_files"] == 2
 
+    def test_once_parses_each_file_once(self, tmp_path, monkeypatch, capsys):
+        import repro.php.parser as parser_module
+        from repro.corpus import FIGURE_10, generate_catalog_project
+
+        project = generate_catalog_project(FIGURE_10[0], seed=2004).project
+        root = tmp_path / "tree"
+        for path in project.paths():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_text(project.source(path))
+        parsed = []
+        real = parser_module.tokenize
+
+        def counting(source, filename="<string>"):
+            parsed.append(source)
+            return real(source, filename)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting)
+        rc = main(
+            ["watch", str(root), "--once", "--quiet", "--jobs", "1",
+             "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        # The include scan and the verification share one parse per file.
+        assert sorted(parsed) == sorted(project.source(p) for p in project.paths())
+
     def test_once_on_an_empty_tree_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "empty"
         root.mkdir()

@@ -368,10 +368,10 @@ class TestIncludeInvalidation:
         assert cycle.invalidated == []
         assert cycle.dirty == [str(driver.path("common.php"))]
 
-    def test_include_free_files_share_the_audit_cache(self, tmp_path):
-        # A plain `repro audit` warms the cache with standalone keys;
-        # the daemon's first cycle must hit them for include-free files
-        # (only include-splicing entries use closure-scoped keys).
+    def test_include_free_files_key_apart_from_the_audit_cache(self, tmp_path):
+        # A plain `repro audit` renders spans under the path it was given;
+        # the daemon verifies include-free files under their tree-relative
+        # name, so its records differ and must not share the audit's keys.
         from repro.engine import AuditEngine, AuditTask, EngineConfig
 
         clock, driver, loop, _graph = self.make_graph_loop(tmp_path)
@@ -386,8 +386,9 @@ class TestIncludeInvalidation:
         )
         assert prewarm.stats.cache_misses == 1
         cycle = loop.run_cycle()
-        assert cycle.result.stats.cache_hits == 1
-        assert cycle.result.stats.cache_misses == 0
+        assert cycle.result.stats.cache_misses == 1
+        (outcome,) = cycle.result.outcomes
+        assert outcome.filename == str(driver.path("a.php"))
 
     def test_health_and_metrics_expose_invalidations(self, tmp_path):
         from repro.obs import MetricsRegistry

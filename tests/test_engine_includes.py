@@ -181,10 +181,11 @@ class TestClosureScopedCacheKeys:
         assert second.stats.cache_hits == 1
         assert second.outcomes[0].safe is False
 
-    def test_policy_fingerprint_keys_cache_switches_apart(self):
-        plain = policy_fingerprint(WebSSARI())
-        cached = policy_fingerprint(WebSSARI(parse_cache=ParseCache()))
-        assert plain != cached
+    def test_policy_fingerprint_ignores_the_parse_memo(self):
+        # The memo is always on and never changes a record.
+        assert policy_fingerprint(WebSSARI()) == policy_fingerprint(
+            WebSSARI(parse_cache=ParseCache(max_entries=1))
+        )
 
 
 class TestPipeSliceDedup:

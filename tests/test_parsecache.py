@@ -1,4 +1,4 @@
-"""Tests for the content-hash parse cache and the persisted include graph."""
+"""Tests for the in-memory parse cache and the persisted include graph."""
 
 import pickle
 
@@ -47,54 +47,46 @@ class TestParseCache:
             cache.parse("<?php if (", "broken.php")
         assert cache.misses == 2
 
-    def test_disk_persistence_across_processes(self, tmp_path):
-        first = ParseCache(persist_dir=tmp_path / "parse")
-        first.parse(SRC, "a.php")
-        # A fresh cache object over the same directory models a new
-        # process: the memo is empty, the disk entry answers.
-        second = ParseCache(persist_dir=tmp_path / "parse")
-        program = second.parse(SRC, "a.php")
-        assert isinstance(program, ast.Program)
-        assert second.hits == 1 and second.misses == 0
-
-    def test_corrupt_disk_entry_is_evicted_and_reparsed(self, tmp_path):
-        cache = ParseCache(persist_dir=tmp_path / "parse")
-        cache.parse(SRC, "a.php")
-        key = ParseCache.key(SRC, "a.php")
-        entry = tmp_path / "parse" / key[:2] / f"{key}.pkl"
-        entry.write_bytes(b"not a pickle")
-        fresh = ParseCache(persist_dir=tmp_path / "parse")
-        program = fresh.parse(SRC, "a.php")
-        assert isinstance(program, ast.Program)
-        assert fresh.misses == 1  # corrupt entry was a miss, not a crash
-        # The torn entry was evicted, then rewritten by the re-parse.
-        assert entry.exists()
-        reread = ParseCache(persist_dir=tmp_path / "parse")
-        assert reread.parse(SRC, "a.php") and reread.hits == 1
-
-    def test_wrong_shape_disk_entry_is_a_miss(self, tmp_path):
-        cache = ParseCache(persist_dir=tmp_path / "parse")
-        key = ParseCache.key(SRC, "a.php")
-        entry = tmp_path / "parse" / key[:2] / f"{key}.pkl"
-        entry.parent.mkdir(parents=True)
-        entry.write_bytes(pickle.dumps({"not": "a program"}))
-        assert isinstance(cache.parse(SRC, "a.php"), ast.Program)
-        assert cache.misses == 1
-
-    def test_pickle_drops_the_memo(self, tmp_path):
-        cache = ParseCache(persist_dir=tmp_path / "parse", max_entries=7)
+    def test_pickle_drops_the_memo(self):
+        cache = ParseCache(max_entries=7)
         cache.parse(SRC, "a.php")
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.persist_dir == cache.persist_dir
         assert clone.max_entries == 7
         assert clone.hits == 0 and clone.misses == 0
-        # The clone re-warms from disk, not from shipped memo contents.
+        # The clone starts empty: nothing is shipped, nothing is on disk.
         clone.parse(SRC, "a.php")
-        assert clone.hits == 1
+        assert clone.misses == 1
+
+    def test_persist_dir_is_ignored(self, tmp_path):
+        cache = ParseCache(persist_dir=tmp_path / "parse")
+        cache.parse(SRC, "a.php")
+        assert cache.parse(SRC, "a.php") and cache.hits == 1
+        assert not (tmp_path / "parse").exists()
 
     def test_memoryless_cache_still_parses(self):
         cache = ParseCache(persist_dir=None)
         assert isinstance(cache.parse(OTHER, "z.php"), ast.Program)
+
+
+class TestNoTreesOnDisk:
+    @pytest.mark.parametrize("command", ["audit", "watch"])
+    def test_cold_run_leaves_no_parse_files(self, tmp_path, command, capsys):
+        from repro.cli import main
+
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "lib.php").write_text("<?php $x = $_GET['q'];\n")
+        (tree / "page.php").write_text("<?php include 'lib.php'; echo $x;\n")
+        (tree / "solo.php").write_text("<?php echo 'solo';\n")
+        cache = tmp_path / "cache"
+        argv = [command, str(tree), "--jobs", "1", "--quiet", "--cache-dir", str(cache)]
+        if command == "watch":
+            argv += ["--once", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert cache.is_dir()
+        assert not (cache / "parse").exists()
+        assert not list(cache.rglob("*.pkl"))
 
 
 class TestContentDigest:

@@ -340,11 +340,11 @@ class TestParseOnce:
         assert all(r.verdict == "unsupported" for r in results)
         assert calls[(bad, "bad.php")] == 1
 
-    def test_worker_parse_cache_serves_unpatched_sources(self, tmp_path):
+    def test_worker_parse_cache_serves_unpatched_sources(self):
         from repro.engine.worker import AuditTask, execute_task
         from repro.php.parsecache import ParseCache
 
-        cache = ParseCache(persist_dir=tmp_path / "parse")
+        cache = ParseCache()
         websari = WebSSARI(parse_cache=cache)
         task = AuditTask(
             index=0,
@@ -355,13 +355,12 @@ class TestParseOnce:
         outcome = execute_task(task, websari, want_report=True)
         assert outcome.safe is False
         misses, hits = cache.misses, cache.hits
-        stored = sorted((tmp_path / "parse").rglob("*.pkl"))
         summary = replay_for_task(task, outcome.report, parse_hook=cache.parse)
         assert summary["confirmed"] >= 2 and summary["patched_refuted"] >= 2
+        # Originals hit the memo; patched sources never go through it
+        # (a patched parse through the cache would count as a miss).
         assert cache.misses == misses
         assert cache.hits > hits
-        # Patched sources never reach the persistent cache.
-        assert sorted((tmp_path / "parse").rglob("*.pkl")) == stored
 
     def test_worker_replay_adds_no_parse_cache_misses(self):
         from repro.engine.worker import AuditTask, execute_task

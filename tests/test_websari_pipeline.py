@@ -290,6 +290,23 @@ class TestOnePipeline:
             assert outcome.bmc_groups == report.bmc_group_count
 
 
+class TestParseOnce:
+    def test_sequential_verify_project_parses_each_file_once(self, monkeypatch):
+        import repro.php.parser as parser_module
+
+        parsed = []
+        real = parser_module.tokenize
+
+        def counting(source, filename="<string>"):
+            parsed.append((source, filename))
+            return real(source, filename)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting)
+        project = generate_catalog_project(FIGURE_10[0], seed=2004).project
+        WebSSARI().verify_project(project)
+        assert sorted(parsed) == sorted((project.source(p), p) for p in project.paths())
+
+
 LIB = "<?php $x = $_GET['q'];\n"
 
 
@@ -313,7 +330,8 @@ class TestEntryTask:
         assert (task.index, task.filename) == (3, "shown/a.php")
         if shape == "standalone":
             assert task.source == files["a.php"]
-            assert task.project_files is None and task.entry is None
+            # Parsed under the scanned name, not the shown filename.
+            assert task.project_files is None and task.entry == "a.php"
         elif shape == "closure":
             assert task.source is None and task.entry == "a.php"
             scan = scan_includes(project, "a.php")
