@@ -20,15 +20,6 @@ python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
                         [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
                         [--restart-strategy geometric|luby] [--sat-seed N]
                         [--start-method fork|spawn] [--replay on|off]
-python -m repro serve   [--bind [HOST]:PORT] [--lease-timeout S]
-                        [--submit PATH ...] [--jsonl-dir D]
-                        [--trace out.json] [--drain-grace S]
-python -m repro work    --connect URL [--node NAME] [--jobs N]
-                        [--lease N] [--poll S] [--timeout S]
-                        [--cache-dir D] [--no-cache] [--quiet]
-                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
-                        [--start-method fork|spawn] [--replay on|off]
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
 python -m repro report  --diff old.jsonl new.jsonl
 python -m repro patch   file.php [-o out.php] [--strategy bmc|ts]
@@ -36,8 +27,10 @@ python -m repro html    file.php [-o report.html]
 python -m repro figure10 [--jobs N]
 ```
 
-``verify`` walks files sequentially in-process; ``audit`` is the batch
-engine — a worker pool with per-file timeouts, crash isolation, and a
+``verify`` walks files sequentially in-process, each a standalone
+source; ``audit`` is the batch engine — each directory argument is a
+project root whose entries are verified with their includes resolved,
+over a worker pool with per-file timeouts, crash isolation, and a
 content-addressed result cache (see ``repro.engine``).  Both share the
 CI-friendly exit-code contract:
 
@@ -50,12 +43,9 @@ CI-friendly exit-code contract:
 ``watch`` is the incremental re-audit daemon: it polls a tree and pushes
 only changed files through the audit engine, serves live Prometheus
 metrics, and drains gracefully on SIGINT/SIGTERM (see ``repro.daemon``
-and docs/DAEMON.md).  ``serve`` and ``work`` are the distributed audit
-service — an HTTP coordinator that accepts submitted projects and
-leases file-level tasks to remote worker nodes, with ``audit --shard
-i/n`` as the coordination-free alternative for machines sharing a cache
-directory (see ``repro.service`` and docs/SERVICE.md).  ``report``
-summarizes an audit JSONL stream (``--json`` for machine-readable
+and docs/DAEMON.md).  ``audit --shard i/n`` splits one audit across
+machines that share a cache directory, with no coordination (see
+``repro.engine.sharding``).  ``report`` summarizes an audit JSONL stream (``--json`` for machine-readable
 output, ``--html OUT`` for a self-contained dashboard, or diffs two
 streams — exit 1 when the diff shows new/regressed vulnerable files);
 ``--trace``
@@ -75,6 +65,7 @@ import sys
 from pathlib import Path
 
 from repro.php.errors import FrontendError
+from repro.php.includes import TreeProject
 from repro.policy.preludefile import load_prelude
 from repro.websari.htmlreport import render_html_report
 from repro.websari.pipeline import WebSSARI
@@ -151,10 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit",
         help="batch-verify in parallel with result caching",
-        description="Fan file-level verification over a worker pool with "
-        "per-file timeouts, crash isolation, and a content-addressed "
-        "result cache keyed on source + policy + engine version "
-        "(unchanged files are skipped on re-audit).",
+        description="Verify every PHP entry with its includes resolved, over "
+        "a worker pool with per-file timeouts, crash isolation, and a "
+        "content-addressed result cache keyed on the entry's include "
+        "closure + policy + engine version (unchanged entries are skipped "
+        "on re-audit). Each directory argument is a project root; a file "
+        "argument's root is its parent directory.",
         epilog=EXIT_CODES_HELP,
     )
     audit.add_argument("paths", nargs="+", type=Path)
@@ -210,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--shard", metavar="I/N", default=None,
-        help="audit only shard I of N (1-based): a deterministic "
-        "content-hash partition of the corpus, disjoint and exhaustive "
-        "across all N shards and stable under file renames — machines "
-        "sharing a --cache-dir can each take one shard with zero "
-        "coordination (see docs/SERVICE.md)",
+        help="audit only shard I of N (1-based): each entry is assigned by "
+        "a hash of its own source before its include scan, so the N shards "
+        "are disjoint and exhaustive — machines sharing a --cache-dir can "
+        "each take one shard with zero coordination "
+        "(see docs/AUDIT_ENGINE.md)",
     )
     audit.add_argument(
         "--start-method", choices=("fork", "spawn"), default=None,
@@ -316,123 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(folded into the policy fingerprint; see docs/REPLAY.md)",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the distributed-audit HTTP coordinator",
-        description="Audit-service coordinator: accepts submitted projects "
-        "(JSON files, tar upload, or a path local to this process), "
-        "enqueues file-level tasks, leases them to `repro work` nodes with "
-        "timeout-based re-queue on node loss, and serves merged per-job "
-        "JSONL streams plus live /metrics and /healthz "
-        "(see docs/SERVICE.md for the endpoint contract).",
-        epilog="exit codes: 0 = clean shutdown on SIGINT/SIGTERM (drains "
-        "outstanding leases first); 2 = bad --bind address or unreadable "
-        "--submit path",
-    )
-    serve.add_argument(
-        "--bind", metavar="[HOST]:PORT", default="127.0.0.1:9410",
-        help="listen address (default 127.0.0.1:9410; empty host = "
-        "loopback; port 0 or a busy port binds an ephemeral one)",
-    )
-    serve.add_argument(
-        "--lease-timeout", type=_positive_float, default=60.0,
-        help="seconds a node may hold a task without heartbeating before "
-        "it is re-queued for other nodes (default 60)",
-    )
-    serve.add_argument(
-        "--submit", type=Path, action="append", default=None, metavar="PATH",
-        help="submit this file/directory as a job at startup (repeatable)",
-    )
-    serve.add_argument(
-        "--jsonl-dir", type=Path, default=None,
-        help="write each completed job's merged stream to <dir>/<job>.jsonl",
-    )
-    serve.add_argument(
-        "--trace", type=Path, default=None, metavar="OUT.json",
-        help="write a Chrome trace-event file on shutdown: per-file spans "
-        "stitched from node-reported stage timings, one track per node",
-    )
-    serve.add_argument(
-        "--drain-grace", type=_positive_float, default=30.0,
-        help="seconds to wait for outstanding leases after a shutdown "
-        "signal before exiting anyway (default 30)",
-    )
-
-    work = sub.add_parser(
-        "work",
-        help="run a worker node attached to a coordinator",
-        description="Worker node for the distributed audit service: "
-        "registers with a `repro serve` coordinator, leases batches of "
-        "file-level tasks, audits them through the local worker pool "
-        "(same timeouts, crash isolation, and caching as `repro audit`), "
-        "and reports results back.  Heartbeats keep leases alive during "
-        "long batches; a node that dies simply stops heartbeating and "
-        "its tasks re-queue elsewhere.",
-        epilog="exit codes: 0 = clean drain (coordinator draining, or "
-        "SIGINT/SIGTERM); 1 = coordinator unreachable or registration "
-        "rejected (policy mismatch); 2 = bad --connect URL",
-    )
-    work.add_argument(
-        "--connect", required=True, metavar="URL",
-        help="coordinator base URL, e.g. http://127.0.0.1:9410",
-    )
-    work.add_argument(
-        "--node", default=None,
-        help="node name for attribution in merged streams "
-        "(default: <hostname>-<pid>)",
-    )
-    work.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="local worker processes (default: CPU count; 1 = in-process)",
-    )
-    work.add_argument(
-        "--lease", type=int, default=None, metavar="N",
-        help="tasks to lease per batch (default: 2x --jobs)",
-    )
-    work.add_argument(
-        "--poll", type=_positive_float, default=1.0,
-        help="seconds between lease polls when idle (default 1.0)",
-    )
-    work.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    work.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    work.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    work.add_argument(
-        "--quiet", "-q", action="store_true", help="suppress per-batch progress lines"
-    )
-    work.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
-        help="SAT backend (must match the rest of the fleet)",
-    )
-    work.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="persistent SAT-query memo under <cache-dir>/sat",
-    )
-    work.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    work.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
-    )
-    work.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="local worker-pool start method (default: fork where available)",
-    )
-    work.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay counterexamples through the interpreter "
-        "(folded into the policy fingerprint: must match the rest of "
-        "the fleet; see docs/REPLAY.md)",
-    )
-
     report = sub.add_parser(
         "report",
         help="summarize or diff audit JSONL streams",
@@ -481,24 +357,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_php_files(paths: list[Path]) -> list[Path]:
-    """Expand files and directories into a deduplicated list of PHP files.
+    """The PHP files of :func:`_collect_entries`, without their roots."""
+    return [path for path, _root in _collect_entries(paths)]
 
-    Passing a directory plus a file inside it yields the file once; files
-    discovered during a directory walk that cannot be read are skipped
-    with a warning rather than crashing the walk (explicitly named files
-    are kept, so their failure is reported per-file downstream).
+
+def _collect_entries(paths: list[Path]) -> list[tuple[Path, Path]]:
+    """Expand files and directories into deduplicated ``(file, root)``
+    pairs of PHP files.
+
+    A directory argument is the project root of every file under it; a
+    file argument's root is its parent directory.  Passing a directory
+    plus a file inside it yields the file once, under the first argument
+    that reaches it; files discovered during a directory walk that cannot
+    be read are skipped with a warning rather than crashing the walk
+    (explicitly named files are kept, so their failure is reported
+    per-file downstream).
     """
-    files: list[Path] = []
+    files: list[tuple[Path, Path]] = []
     seen: set[Path] = set()
 
-    def add(path: Path) -> None:
+    def add(path: Path, root: Path) -> None:
         try:
             identity = path.resolve()
         except OSError:
             identity = path
         if identity not in seen:
             seen.add(identity)
-            files.append(path)
+            files.append((path, root))
 
     for path in paths:
         if path.is_dir():
@@ -515,9 +400,9 @@ def _collect_php_files(paths: list[Path]) -> list[Path]:
                         file=sys.stderr,
                     )
                     continue
-                add(candidate)
+                add(candidate, path)
         else:
-            add(path)
+            add(path, path.parent)
     return files
 
 
@@ -667,6 +552,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 2 if any_error else 0
 
 
+def _tree_project(root: Path, entries: list[Path]) -> TreeProject:
+    """The lazy on-disk project rooted at ``root``: every ``.php`` file
+    under it, plus the named entries whatever their suffix."""
+    files = [path for path in sorted(root.rglob("*.php")) if path.is_file()]
+    return TreeProject(
+        {
+            TreeProject.normalize(os.path.relpath(path, root)): str(path)
+            for path in files + entries
+        }
+    )
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.engine import (
         AuditEngine,
@@ -676,13 +573,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ResultCache,
         default_cache_dir,
     )
-
+    from repro.engine.sharding import assign_shard, parse_shard
+    from repro.engine.worker import entry_task
     from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+    from repro.php.errors import IncludeError
+    from repro.php.includes import scan_includes
 
     shard = None
     if args.shard:
-        from repro.service.sharding import assign_shard, parse_shard
-
         try:
             shard = parse_shard(args.shard)
         except ValueError as error:
@@ -694,25 +592,37 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # --no-cache disables the file-level result cache: the layers are
     # independent (see docs/SOLVER.md).
     websari.attach_persistent_sat_cache(args.cache_dir or default_cache_dir())
-    files = _collect_php_files(args.paths)
+    files = _collect_entries(args.paths)
     if not files:
         print("no PHP files found", file=sys.stderr)
         return 2
 
+    # Every entry is scanned for includes against its project root and
+    # built by entry_task, exactly as `watch` and `verify_project` do;
+    # the scan parses through the verifier's memo, and each root shares
+    # one whole-project memo for widened entries.
+    by_root: dict[Path, list[Path]] = {}
+    for path, root in files:
+        by_root.setdefault(root, []).append(path)
+    projects = {root: (_tree_project(root, paths), {}) for root, paths in by_root.items()}
+    parse = websari.parse_cache.parse
+
     tasks: list[AuditTask] = []
     any_read_error = False
     skipped_other_shards = 0
-    for path in files:
+    for path, root in files:
+        project, whole = projects[root]
+        entry = project.normalize(os.path.relpath(path, root))
         try:
-            source = path.read_text()
-        except OSError as error:
+            source = project.source(entry)
+            if shard is not None and assign_shard(source, shard[1]) != shard[0]:
+                skipped_other_shards += 1
+                continue
+            scan = scan_includes(project, entry, parse_hook=parse)
+            tasks.append(entry_task(len(tasks), str(path), project, scan, whole))
+        except (OSError, IncludeError) as error:
             print(f"{path}: {error}", file=sys.stderr)
             any_read_error = True
-            continue
-        if shard is not None and assign_shard(source, shard[1]) != shard[0]:
-            skipped_other_shards += 1
-            continue
-        tasks.append(AuditTask(index=len(tasks), filename=str(path), source=source))
     if shard is not None:
         print(
             f"shard {args.shard}: {len(tasks)} of "
@@ -849,124 +759,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             server.close()
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from repro.obs import Tracer, write_chrome_trace
-    from repro.service import Coordinator
-    from repro.service.httpbase import HttpError, parse_bind
-
-    try:
-        bind = parse_bind(args.bind)
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-
-    tracer = Tracer(enabled=True) if args.trace else None
-    coordinator = Coordinator(
-        host=bind[0],
-        port=bind[1],
-        lease_timeout=args.lease_timeout,
-        tracer=tracer,
-        jsonl_dir=args.jsonl_dir,
-    )
-    stop = threading.Event()
-
-    def _request_stop(signum, frame) -> None:
-        print(
-            f"serve: received {signal.Signals(signum).name}, draining "
-            "outstanding leases...",
-            file=sys.stderr,
-        )
-        stop.set()
-
-    previous = {
-        signum: signal.signal(signum, _request_stop)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
-    try:
-        coordinator.start()
-        note = " (requested port busy; fell back)" if coordinator.fell_back else ""
-        print(f"serve: coordinator on {coordinator.url}{note}", file=sys.stderr)
-        for path in args.submit or []:
-            try:
-                job = coordinator.submit_path(path)
-            except HttpError as error:
-                print(f"serve: {path}: {error.message}", file=sys.stderr)
-                return 2
-            print(
-                f"serve: submitted {path} as {job.job_id} "
-                f"({len(job.tasks)} task(s))",
-                file=sys.stderr,
-            )
-        while not stop.wait(0.5):
-            pass
-        coordinator.drain()
-        if not coordinator.wait_for_drain(args.drain_grace):
-            print(
-                f"serve: {coordinator.queue.leased_count} lease(s) still "
-                f"outstanding after {args.drain_grace:g}s grace; exiting anyway",
-                file=sys.stderr,
-            )
-        return 0
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        coordinator.close()
-        if tracer is not None:
-            write_chrome_trace(args.trace, tracer.take_roots())
-            print(f"serve: wrote trace to {args.trace}", file=sys.stderr)
-
-
-def _cmd_work(args: argparse.Namespace) -> int:
-    import signal
-    import socket
-    import threading
-
-    from repro.engine import ResultCache, default_cache_dir
-    from repro.service.worker_client import WorkerConfig, run_worker
-
-    url = args.connect.rstrip("/")
-    if not url.startswith(("http://", "https://")):
-        print(f"work: invalid coordinator URL {args.connect!r}", file=sys.stderr)
-        return 2
-
-    websari = _make_websari(args)
-    cache_root = args.cache_dir or default_cache_dir()
-    websari.attach_persistent_sat_cache(cache_root)
-    cache = None if args.no_cache else ResultCache(cache_root)
-    stop = threading.Event()
-
-    def _request_stop(signum, frame) -> None:
-        print(
-            f"work: received {signal.Signals(signum).name}, draining "
-            "the in-flight batch...",
-            file=sys.stderr,
-        )
-        stop.set()
-
-    previous = {
-        signum: signal.signal(signum, _request_stop)
-        for signum in (signal.SIGINT, signal.SIGTERM)
-    }
-    config = WorkerConfig(
-        node=args.node or f"{socket.gethostname()}-{os.getpid()}",
-        jobs=max(1, args.jobs),
-        lease_max=args.lease,
-        poll=args.poll,
-        timeout=args.timeout,
-        start_method=args.start_method,
-        cache=cache,
-        quiet=args.quiet,
-    )
-    try:
-        return run_worker(url, websari, config, stop_event=stop)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import (
         ReportError,
@@ -1070,8 +862,6 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
         "audit": _cmd_audit,
         "watch": _cmd_watch,
-        "serve": _cmd_serve,
-        "work": _cmd_work,
         "report": _cmd_report,
         "patch": _cmd_patch,
         "html": _cmd_html,

@@ -47,40 +47,10 @@ from repro.engine.cache import ResultCache
 from repro.engine.worker import entry_task
 from repro.obs import MetricsRegistry
 from repro.php.errors import IncludeError
-from repro.php.includes import SourceProject, scan_includes
+from repro.php.includes import SourceProject, TreeProject, scan_includes
 from repro.php.parsecache import IncludeGraph
 
 __all__ = ["CycleResult", "WatchLoop"]
-
-
-class _TreeProject(SourceProject):
-    """Lazy disk-backed project over the watcher's current snapshot.
-
-    Maps normalized tree-relative paths to absolute ones and reads file
-    text on first access only — a cycle that audits two entries reads
-    two closures, not the whole tree.  Read races (file vanished since
-    the poll) surface as ``OSError`` from :meth:`source`, handled per
-    entry by the caller.
-    """
-
-    def __init__(self, abs_by_rel: dict[str, str]) -> None:
-        super().__init__()
-        self._abs_by_rel = abs_by_rel
-
-    def has(self, path: str) -> bool:
-        return self.normalize(path) in self._abs_by_rel
-
-    def source(self, path: str) -> str:
-        normalized = self.normalize(path)
-        if normalized not in self._files and normalized in self._abs_by_rel:
-            self._files[normalized] = Path(self._abs_by_rel[normalized]).read_text()
-        return self._files[normalized]
-
-    def paths(self) -> list[str]:
-        return sorted(self._abs_by_rel)
-
-    def __len__(self) -> int:
-        return len(self._abs_by_rel)
 
 
 @dataclass
@@ -198,7 +168,7 @@ class WatchLoop:
                 self.include_graph.remove_file(self._rel(path))
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
-        project = _TreeProject({self._rel(path): path for path in sorted(tracked)})
+        project = TreeProject({self._rel(path): path for path in sorted(tracked)})
         do_parse = self.websari.parse_cache.parse
         whole: dict = {}
 
@@ -224,10 +194,9 @@ class WatchLoop:
 
         self.cycles += 1
         # The engine writes into a fresh per-cycle registry that is folded
-        # into the long-lived daemon registry afterwards — the exact
-        # snapshot/merge path fleet aggregation uses, so daemon metrics and
-        # coordinator metrics accumulate identically.  Watch-level
-        # counters/gauges below still hit self.metrics directly (live).
+        # into the long-lived daemon registry afterwards through
+        # snapshot/merge.  Watch-level counters/gauges below still hit
+        # self.metrics directly (live).
         cycle_metrics = MetricsRegistry() if self.metrics is not None else None
         config = EngineConfig(
             jobs=self.jobs,

@@ -17,10 +17,14 @@ first-class engineered operation instead of a for-loop:
 
 Entry points: the ``repro audit`` CLI subcommand, or::
 
-    from repro.engine import AuditEngine, AuditTask, EngineConfig
+    from repro.engine import AuditEngine, EngineConfig
+    from repro.engine.worker import entry_task
+    from repro.php import SourceProject, scan_includes
 
+    project = SourceProject({"a.php": "<?php ..."})
+    scan = scan_includes(project, "a.php")
     engine = AuditEngine(config=EngineConfig(jobs=4, timeout=30.0))
-    result = engine.run([AuditTask(0, "a.php", source="<?php ...")])
+    result = engine.run([entry_task(0, "a.php", project, scan, {})])
     print(result.stats.summary_lines())
 """
 

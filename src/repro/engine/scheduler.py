@@ -78,6 +78,28 @@ _POLL_INTERVAL = 0.05
 _QUEUE_DEPTH = 2
 
 
+def _restamp_filename(outcome: FileOutcome, filename: str) -> None:
+    """Give a cached outcome the filename of the task that hit it.
+
+    Entry tasks key on their project-relative entry, not on the path
+    spelling, so a record cached through one spelling (or one copy of a
+    tree) may serve another.  The filename shows in the record field,
+    the header line both report texts start with, and each slow query's
+    ``file`` stamp; everything else renders under the entry name.
+    """
+    cached = outcome.filename
+    if cached == filename:
+        return
+    outcome.filename = filename
+    header = f"{cached}: "
+    for name in ("summary", "detailed"):
+        text = getattr(outcome, name)
+        if text.startswith(header):
+            setattr(outcome, name, f"{filename}: {text[len(header):]}")
+    for query in outcome.slow_queries:
+        query["file"] = filename
+
+
 @dataclass
 class EngineConfig:
     """Knobs for one engine run."""
@@ -115,7 +137,7 @@ class EngineConfig:
     #: the platform default.  Workers receive their policy as an explicit
     #: session-setup message either way, so both methods produce
     #: identical outcomes — ``spawn`` is the portable escape hatch for
-    #: hosts without fork (and what remote worker nodes default through).
+    #: hosts without fork.
     start_method: str | None = None
 
     @property
@@ -238,6 +260,7 @@ class AuditEngine:
         if record is None:
             return None
         outcome = FileOutcome.from_record(record)
+        _restamp_filename(outcome, task.filename)
         outcome.cached = True
         outcome.cache_key = keys[task.index]
         outcome.timings = {}

@@ -1,21 +1,22 @@
 """Deterministic corpus sharding for ``repro audit --shard i/n``.
 
-Splitting a corpus across n machines needs a partition that is:
+Splitting an audit across n machines needs a partition that is:
 
-* **disjoint and exhaustive** — every file lands on exactly one shard,
+* **disjoint and exhaustive** — every entry lands on exactly one shard,
   so n shard audits merged together equal one whole-corpus audit;
 * **coordination-free** — each machine computes its own subset from
   nothing but the corpus and its shard spec (the shared cache directory
   already tolerates concurrent writers, so shards need no locking);
-* **stable under renames** — assignment is a pure function of the file
-  *content*, never its path, so moving/renaming a file keeps it (and
-  its cache entries, which are content-addressed the same way) on the
-  same shard, and adding or removing files never reshuffles the rest.
+* **cheap to decide** — an entry is assigned by its own bytes, before
+  its include scan, so a machine scans and verifies only its own
+  entries.
 
-The assignment is ``sha256(salt ‖ content) mod n``.  Two files with
-identical content land on the same shard — which is exactly right: they
-share one result-cache entry, so co-locating them means one computes it
-and the other hits the cache.
+The assignment is ``sha256(salt ‖ content) mod n`` over the entry's own
+source.  It is stable under renames and under edits to other files,
+including the files an entry includes.  It is not a cache-sharing rule:
+an entry's result-cache key also covers its include closure and its
+project-relative name, so two entries with the same bytes share a shard
+but not necessarily a cache entry.
 
 Shard specs are written ``i/n`` with 1-based ``i`` (``--shard 2/4`` =
 the second of four shards); internally assignments are 0-based.
@@ -24,11 +25,8 @@ the second of four shards); internally assignments are 0-based.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, TypeVar
 
-__all__ = ["assign_shard", "parse_shard", "shard_partition"]
-
-T = TypeVar("T")
+__all__ = ["assign_shard", "parse_shard"]
 
 #: Domain separator: shard assignment must not collide with the other
 #: sha256 keyings in the codebase (cache keys, CNF fingerprints).
@@ -69,16 +67,3 @@ def assign_shard(content: str | bytes, count: int) -> int:
         content = content.encode()
     digest = hashlib.sha256(_SALT + content).digest()
     return int.from_bytes(digest[:8], "big") % count
-
-
-def shard_partition(
-    items: Iterable[tuple[T, str]], index: int, count: int
-) -> list[T]:
-    """Filter ``(item, content)`` pairs down to shard ``index`` of ``count``.
-
-    Preserves input order; ``index`` is 0-based (as returned by
-    :func:`parse_shard`).
-    """
-    if not 0 <= index < count:
-        raise ValueError(f"shard index {index} out of range for count {count}")
-    return [item for item, content in items if assign_shard(content, count) == index]

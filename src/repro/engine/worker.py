@@ -120,7 +120,7 @@ class WorkerSession:
     instead of relying on fork-time memory inheritance, so workers behave
     identically under the ``fork`` and ``spawn`` start methods — and can
     therefore live on hosts where fork is unavailable (macOS default,
-    Windows) or undesirable (remote worker nodes).
+    Windows).
     """
 
     websari: "WebSSARI"
@@ -158,19 +158,19 @@ class AuditTask:
     def cache_material(self) -> tuple[str, str]:
         """(source-text, extra) pair feeding the content-addressed key.
 
-        The filename is part of the key because report text embeds it
-        (summaries, counterexample spans) — two files with identical
-        content must not serve each other's rendered records.  Project
-        entries hash the file set they carry (their include closure, or
-        historically the whole project); widened entries key on the
-        precomputed whole-project digest so *any* project edit
-        conservatively invalidates them.
+        A task with an ``entry`` keys on that project-relative name,
+        never on ``filename``: its spans render under the entry name, so
+        the same tree reached through two path spellings (or copied
+        elsewhere) shares its records, and the scheduler re-stamps the
+        filename on a hit.  Only a task without an ``entry`` keys on
+        ``file=``, because its spans render under the filename.  Project
+        entries hash the file set they carry (their include closure);
+        widened entries key on the precomputed whole-project digest so
+        *any* project edit conservatively invalidates them.
         """
         if self.project_files is None:
-            extra = f"file={self.filename}"
-            if self.entry is not None:
-                extra += f"|entry={self.entry}"
-            return self.source or "", extra
+            name = f"entry={self.entry}" if self.entry is not None else f"file={self.filename}"
+            return self.source or "", name
         if self.project_digest is not None:
             return self.project_digest, f"entry={self.entry}|closure=widened"
         joined = "\x00".join(
@@ -317,11 +317,10 @@ def _run_stages(
         if task.closure_widened:
             includes["widened"] = True
     else:
-        # Standalone tasks parse through the cache too (a watch entry
-        # under the name its include scan parsed) but record no cache
+        # Standalone tasks parse through the cache too (an entry under
+        # the name its include scan parsed) but record no cache
         # counters: their JSONL records stay byte-deterministic
-        # regardless of cache warmth, which the distributed-audit merge
-        # comparison relies on.
+        # regardless of cache warmth.
         report, includes = websari.verify_file(
             task.filename, source=task.source, entry=task.entry, timings=timings
         )

@@ -17,7 +17,7 @@ disabled:
 * :mod:`repro.obs.report` — consumers for ``repro audit`` JSONL streams:
   run summaries (text and JSON) and new/fixed/regressed diffs.
 * :mod:`repro.obs.ledger` — bounded top-K ledger of the hardest SAT
-  queries, merged fleet-wide through JSONL stats trailers.
+  queries, carried in each file record's ``slow_queries``.
 * :mod:`repro.obs.html` — self-contained HTML audit dashboard
   (``repro report --html``).
 
@@ -31,7 +31,6 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_QUANTILES,
     Counter,
-    FleetMetrics,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -65,7 +64,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
-    "FleetMetrics",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,20 +1,18 @@
 """Self-contained HTML audit dashboard (``repro report --html``).
 
-Renders one parsed audit JSONL stream (:class:`~repro.obs.report.AuditRun`,
-single-box or a merged fleet stream from ``repro serve``) into a single
-HTML file with **no external assets** — inline CSS only, no scripts, no
+Renders one parsed audit JSONL stream (:class:`~repro.obs.report.AuditRun`)
+into a single HTML file with **no external assets** — inline CSS only, no scripts, no
 network fetches — so the artifact can be archived from CI and opened
 anywhere:
 
-* hero tiles (files / verdicts / wall time / nodes),
+* hero tiles (files / verdicts / wall time),
 * a verdict table (``id="verdicts"``) with per-file drill-down
   ``<details>`` blocks (stage timings, solver counters, warnings,
   summaries, per-file slow queries),
 * per-stage latency histograms (``id="stage-latency"``) as direct-labeled
   CSS bars over the same buckets the ``/metrics`` histograms use, plus
   the bucket-interpolated p50/p90/p99 estimates,
-* the fleet-wide slow-query table (``id="slow-queries"``) with node
-  attribution, and a per-node table (``id="nodes"``).
+* the run-wide slow-query table (``id="slow-queries"``).
 
 Same stdlib string-building approach as
 :mod:`repro.websari.htmlreport`; output is deterministic for a given
@@ -182,8 +180,6 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
     )
     if has_replay:
         tiles.append((str(replay_confirmed), "confirmed"))
-    if run.node_stats:
-        tiles.append((str(len(run.node_stats)), "nodes"))
     out.append("<section class='tiles'>")
     for number, caption in tiles:
         out.append(
@@ -198,7 +194,7 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
     out.append(
         "<tr><th>file</th><th>verdict</th><th class='num'>confirmed</th>"
         "<th class='num'>duration</th>"
-        "<th class='num'>assertions</th><th>node</th><th>cached</th></tr>"
+        "<th class='num'>assertions</th><th>cached</th></tr>"
     )
     for index, filename in enumerate(sorted(by_name)):
         record = by_name[filename]
@@ -210,7 +206,6 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
             f"<td class='num'>{_replay_cell(record)}</td>"
             f"<td class='num'>{_fmt_seconds(record.get('duration'))}</td>"
             f"<td class='num'>{record.get('num_ai_assertions', 0)}</td>"
-            f"<td>{_esc(record.get('node') or '—')}</td>"
             f"<td>{'yes' if record.get('cached') else 'no'}</td>"
             "</tr>"
         )
@@ -316,7 +311,7 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
         out.append(
             "<tr><th class='num'>seconds</th><th>file</th>"
             "<th class='num'>assertion</th><th class='num'>decisions</th>"
-            "<th class='num'>conflicts</th><th>node</th><th>fingerprint</th></tr>"
+            "<th class='num'>conflicts</th><th>fingerprint</th></tr>"
         )
         for query in slow:
             fingerprint = query.get("fingerprint")
@@ -328,33 +323,12 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
                 f"<td class='num'>{_esc(query.get('assert_id', '?'))}</td>"
                 f"<td class='num'>{_esc(query.get('decisions', '—'))}</td>"
                 f"<td class='num'>{_esc(query.get('conflicts', '—'))}</td>"
-                f"<td>{_esc(query.get('node') or '—')}</td>"
                 f"<td class='fp'>{_esc(fp_text)}</td>"
                 "</tr>"
             )
         out.append("</table>")
     else:
         out.append("<p id='slow-queries'>no slow-query ledger in this stream</p>")
-
-    # -- node attribution --------------------------------------------------
-    if run.node_stats:
-        out.append("<h2>Nodes</h2>")
-        out.append("<table class='data' id='nodes'>")
-        out.append(
-            "<tr><th>node</th><th class='num'>files</th><th class='num'>safe</th>"
-            "<th class='num'>vulnerable</th><th class='num'>failed</th></tr>"
-        )
-        for node, trailer in sorted(run.node_stats.items()):
-            out.append(
-                "<tr>"
-                f"<td>{_esc(node)}</td>"
-                f"<td class='num'>{_esc(trailer.get('files', '—'))}</td>"
-                f"<td class='num'>{_esc(trailer.get('safe', '—'))}</td>"
-                f"<td class='num'>{_esc(trailer.get('vulnerable', '—'))}</td>"
-                f"<td class='num'>{_esc(trailer.get('failed', '—'))}</td>"
-                "</tr>"
-            )
-        out.append("</table>")
 
     out.append(
         "<footer>generated by <code>repro report --html</code> — "

@@ -2,7 +2,7 @@
 
 Each BMC check times every per-assertion SAT solve and feeds the record
 into a :class:`SlowQueryLedger` — a min-heap that keeps only the K most
-expensive queries, so per-file and fleet-wide ledgers stay O(K) no
+expensive queries, so per-file and run-wide ledgers stay O(K) no
 matter how many queries an audit issues.
 
 Record schema (all keys optional except ``seconds``)::
@@ -17,12 +17,11 @@ Record schema (all keys optional except ``seconds``)::
         "satisfiable": true,
         "backend": "cdcl",
         "fingerprint": "ab12...",  # canonical-CNF SHA-256 (sat cache key)
-        "node": "worker-3",        # attached when merging across nodes
     }
 
-Ledgers ride the JSONL stats trailer (``"slow_queries": [...]``);
-``obs.report.load_audit`` merges per-node ledgers into the fleet-wide
-top offenders that ``repro report`` prints.
+Each file record carries its own ledger; the engine merges them into the
+run-wide one that rides the JSONL stats trailer (``"slow_queries":
+[...]``) and that ``repro report`` prints.
 """
 
 from __future__ import annotations

@@ -15,12 +15,10 @@ Prometheus text exposition format (``# HELP``/``# TYPE`` headers,
 ``+Inf`` bucket plus ``_sum``/``_count`` series).  All operations are
 thread-safe behind one registry lock.
 
-Fleet aggregation: ``MetricsRegistry.snapshot()`` serialises the whole
-registry into a JSON-able dict, ``merge_snapshot()`` adds one into
-another registry (optionally stamping extra labels such as ``node``),
-and ``FleetMetrics`` turns a stream of *cumulative* per-node snapshots
-into delta-merged fleet series — tolerant of node restarts (counter
-resets) and strict about histogram bucket boundaries.
+Snapshots: ``MetricsRegistry.snapshot()`` serialises the whole registry
+into a JSON-able dict and ``merge_snapshot()`` adds one into another
+registry (the watch daemon folds each cycle's registry into its
+long-lived one this way), strict about histogram bucket boundaries.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "FleetMetrics",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "PROMETHEUS_CONTENT_TYPE",
@@ -320,12 +317,8 @@ class Histogram:
         return lines
 
 
-def _key_from_snapshot(raw, extra_labels: dict | None) -> LabelKey:
-    pairs = {str(name): str(value) for name, value in raw}
-    if extra_labels:
-        for name, value in extra_labels.items():
-            pairs[str(name)] = str(value)
-    return _label_key(pairs)
+def _key_from_snapshot(raw) -> LabelKey:
+    return _label_key({str(name): str(value) for name, value in raw})
 
 
 class MetricsRegistry:
@@ -385,26 +378,19 @@ class MetricsRegistry:
             entries.append(entry)
         return {"version": 1, "metrics": entries}
 
-    def merge_snapshot(
-        self,
-        snapshot: dict,
-        labels: dict | None = None,
-        kinds: tuple[str, ...] | None = None,
-    ) -> None:
+    def merge_snapshot(self, snapshot: dict) -> None:
         """Add a snapshot into this registry.
 
         Counter and histogram samples merge additively (so feeding deltas
         accumulates and feeding disjoint registries unions them); gauges
-        are set to the snapshot value.  ``labels`` stamps every merged
-        sample with extra labels (e.g. ``{"node": "worker-3"}``);
-        ``kinds`` restricts the merge to the listed metric kinds.  Raises
-        ``ValueError`` when a histogram arrives with bucket boundaries
-        that differ from an already-registered histogram of the same name.
+        are set to the snapshot value.  Raises ``ValueError`` when a
+        histogram arrives with bucket boundaries that differ from an
+        already-registered histogram of the same name.
         """
         for entry in snapshot.get("metrics", []):
             kind = entry.get("kind")
             name = entry.get("name")
-            if not name or (kinds is not None and kind not in kinds):
+            if not name:
                 continue
             help_text = entry.get("help", "")
             if kind == "counter":
@@ -412,13 +398,13 @@ class MetricsRegistry:
                 for raw_key, value in entry.get("samples", []):
                     if value:
                         metric._merge_sample(
-                            _key_from_snapshot(raw_key, labels), float(value), additive=True
+                            _key_from_snapshot(raw_key), float(value), additive=True
                         )
             elif kind == "gauge":
                 metric = self.gauge(name, help_text)
                 for raw_key, value in entry.get("samples", []):
                     metric._merge_sample(
-                        _key_from_snapshot(raw_key, labels), float(value), additive=False
+                        _key_from_snapshot(raw_key), float(value), additive=False
                     )
             elif kind == "histogram":
                 buckets = tuple(entry.get("buckets", ()))
@@ -430,7 +416,7 @@ class MetricsRegistry:
                     )
                 for raw_key, counts, total, count in entry.get("series", []):
                     histogram._merge_series(
-                        _key_from_snapshot(raw_key, labels),
+                        _key_from_snapshot(raw_key),
                         list(counts),
                         float(total),
                         int(count),
@@ -456,124 +442,3 @@ class MetricsRegistry:
                     lines.append(f"# TYPE {name}_quantile gauge")
                     lines.extend(quantile_lines)
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-class FleetMetrics:
-    """Delta-merge cumulative per-node snapshots into one fleet registry.
-
-    Workers ship their whole (cumulative) ``MetricsRegistry`` snapshot on
-    every heartbeat/lease/release request.  ``ingest`` diffs each arrival
-    against the node's previous snapshot and applies only the delta —
-    twice: once stamped with a ``node`` label and once unstamped, so the
-    registry simultaneously carries per-node series and fleet-summed
-    series under the same metric names.
-
-    A node restart (counter reset: new value below the remembered one) is
-    tolerated by treating the new cumulative value as the delta, so fleet
-    counters never move backwards.  Histograms arriving with bucket
-    boundaries that differ from the node's previous snapshot — or from
-    the fleet registry — raise ``ValueError``.
-    """
-
-    def __init__(self, registry: MetricsRegistry, node_label: str = "node") -> None:
-        self.registry = registry
-        self.node_label = node_label
-        self._lock = threading.Lock()
-        # node -> {metric name -> remembered cumulative state}
-        self._last: dict[str, dict] = {}
-
-    def forget(self, node: str) -> None:
-        """Drop a node's remembered snapshot (its series stay in the registry)."""
-        with self._lock:
-            self._last.pop(node, None)
-
-    def ingest(self, node: str, snapshot: dict) -> None:
-        with self._lock:
-            previous = self._last.get(node, {})
-            delta = self._delta(previous, snapshot)
-        # Apply outside our lock (registry has its own); per-node first so a
-        # bucket-boundary conflict with the registry aborts before any
-        # fleet-sum pollution of the unlabelled series.
-        self.registry.merge_snapshot(delta, labels={self.node_label: node})
-        self.registry.merge_snapshot(delta, kinds=("counter", "histogram"))
-        with self._lock:
-            self._last[node] = self._remember(snapshot)
-
-    @staticmethod
-    def _remember(snapshot: dict) -> dict:
-        state: dict[str, dict] = {}
-        for entry in snapshot.get("metrics", []):
-            name, kind = entry.get("name"), entry.get("kind")
-            if not name:
-                continue
-            if kind == "histogram":
-                state[name] = {
-                    "kind": kind,
-                    "buckets": tuple(entry.get("buckets", ())),
-                    "series": {
-                        tuple(map(tuple, raw_key)): (list(counts), float(total), int(count))
-                        for raw_key, counts, total, count in entry.get("series", [])
-                    },
-                }
-            else:
-                state[name] = {
-                    "kind": kind,
-                    "samples": {
-                        tuple(map(tuple, raw_key)): float(value)
-                        for raw_key, value in entry.get("samples", [])
-                    },
-                }
-        return state
-
-    @staticmethod
-    def _delta(previous: dict, snapshot: dict) -> dict:
-        entries = []
-        for entry in snapshot.get("metrics", []):
-            name, kind = entry.get("name"), entry.get("kind")
-            if not name:
-                continue
-            last = previous.get(name, {})
-            if kind == "counter":
-                last_samples = last.get("samples", {})
-                samples = []
-                for raw_key, value in entry.get("samples", []):
-                    value = float(value)
-                    old = last_samples.get(tuple(map(tuple, raw_key)), 0.0)
-                    # Counter reset (node restart): the cumulative value is
-                    # itself the progress since the reset.
-                    delta = value - old if value >= old else value
-                    if delta > 0:
-                        samples.append([raw_key, delta])
-                if samples:
-                    entries.append({**entry, "samples": samples})
-            elif kind == "gauge":
-                # Gauges are point-in-time: pass the current value through.
-                if entry.get("samples"):
-                    entries.append(entry)
-            elif kind == "histogram":
-                buckets = tuple(entry.get("buckets", ()))
-                last_buckets = last.get("buckets")
-                if last_buckets and buckets and tuple(last_buckets) != buckets:
-                    raise ValueError(
-                        f"histogram {name!r}: node changed bucket boundaries "
-                        f"({tuple(last_buckets)} -> {buckets})"
-                    )
-                last_series = last.get("series", {})
-                series = []
-                for raw_key, counts, total, count in entry.get("series", []):
-                    counts, total, count = list(counts), float(total), int(count)
-                    old = last_series.get(tuple(map(tuple, raw_key)))
-                    if old is not None:
-                        old_counts, old_total, old_count = old
-                        reset = count < old_count or any(
-                            new < prev for new, prev in zip(counts, old_counts)
-                        )
-                        if not reset:
-                            counts = [new - prev for new, prev in zip(counts, old_counts)]
-                            total = max(total - old_total, 0.0)
-                            count = count - old_count
-                    if count or any(counts):
-                        series.append([raw_key, counts, total, count])
-                if series:
-                    entries.append({**entry, "series": series})
-        return {"version": 1, "metrics": entries}

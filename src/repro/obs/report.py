@@ -6,7 +6,7 @@ file plus a final ``{"type": "stats", ...}`` trailer (see
 
 * :func:`render_report` — verdict/cache tallies, per-file duration
   mean/max, per-stage totals and bucket-interpolated p50/p90/p99
-  latency, the fleet-wide slow-query table, and the top-N slowest files
+  latency, the slow-query table, and the top-N slowest files
   of one run;
 * :func:`summarize_run` — the same summary as a machine-readable dict
   (``repro report --json``);
@@ -57,10 +57,6 @@ class AuditRun:
     path: str
     files: list[dict] = field(default_factory=list)
     stats: dict | None = None
-    #: Per-node ``{"type": "stats", "node": ...}`` trailers from a merged
-    #: distributed stream (``repro serve``), keyed by node name.  These
-    #: are attribution detail, never the run-level tally.
-    node_stats: dict[str, dict] = field(default_factory=dict)
     #: True when the stream carries no stats trailer (interrupted before
     #: PR 2's in-``finally`` trailer, or truncated externally).
     truncated: bool = False
@@ -70,30 +66,16 @@ class AuditRun:
         return {record["filename"]: record for record in self.files}
 
     def slow_queries(self, top: int | None = None) -> list[dict]:
-        """Fleet-wide hardest SAT queries, most expensive first.
+        """Run-wide hardest SAT queries, most expensive first.
 
         Sources, in preference order (never mixed, so nothing double
-        counts): node-attributed ledgers from per-node stats trailers of
-        a merged distributed stream; the global trailer's ledger; and —
-        for truncated streams with no trailer at all — the per-file
-        ``slow_queries`` record fields.  An empty-ledger trailer is a
-        valid (empty) answer, not a fallback trigger.
+        counts): the stats trailer's ledger and — for truncated streams
+        with no trailer at all — the per-file ``slow_queries`` record
+        fields.  An empty-ledger trailer is a valid (empty) answer, not a
+        fallback trigger.
         """
         ledger = SlowQueryLedger(capacity=max(top or 0, 64))
-        node_trailers = [
-            trailer
-            for trailer in self.node_stats.values()
-            if isinstance(trailer.get("slow_queries"), list)
-        ]
-        if node_trailers:
-            for trailer in node_trailers:
-                node = trailer.get("node")
-                ledger.merge(
-                    {**query, "node": query.get("node", node)}
-                    for query in trailer["slow_queries"]
-                    if isinstance(query, dict)
-                )
-        elif isinstance((self.stats or {}).get("slow_queries"), list):
+        if isinstance((self.stats or {}).get("slow_queries"), list):
             ledger.merge(self.stats["slow_queries"])
         else:
             for record in self.files:
@@ -140,13 +122,7 @@ def load_audit(path: str | Path) -> AuditRun:
                 raise ReportError(f"{path}:{lineno}: file record without filename")
             run.files.append(record)
         elif kind == "stats":
-            # Merged distributed streams (repro serve) interleave one
-            # per-node trailer per worker before the global trailer; a
-            # node trailer must never masquerade as the run's stats.
-            if record.get("node") is not None:
-                run.node_stats[str(record["node"])] = record
-            else:
-                run.stats = record
+            run.stats = record
     if run.stats is None:
         run.truncated = True
     return run
@@ -267,8 +243,6 @@ def _format_slow_query(query: dict) -> str:
         parts.append(", ".join(counters))
     if query.get("winner"):
         parts.append(f"won by {query['winner']}")
-    if query.get("node"):
-        parts.append(f"node {query['node']}")
     fingerprint = query.get("fingerprint")
     if isinstance(fingerprint, str) and fingerprint:
         parts.append(f"fp {fingerprint[:12]}")
@@ -333,13 +307,6 @@ def render_report(run: AuditRun, top: int = 10) -> str:
                 f"  {stage:<7} {latency['p50']:.3f}s / {latency['p90']:.3f}s / "
                 f"{latency['p99']:.3f}s  (n={latency['count']})"
             )
-
-    if run.node_stats:
-        parts = ", ".join(
-            f"{node} ({trailer.get('files', '?')} file(s))"
-            for node, trailer in sorted(run.node_stats.items())
-        )
-        lines.append(f"nodes: {parts}")
 
     solver_totals = _sum_dicts(records, "solver")
     if solver_totals:
@@ -437,7 +404,7 @@ def summarize_run(run: AuditRun, top: int = 10) -> dict:
     """Machine-readable run summary (the ``repro report --json`` payload).
 
     Carries everything :func:`render_report` prints — tallies, stage
-    sums and quantiles, node attribution, the slow-query ledger, the
+    sums and quantiles, the slow-query ledger, the
     slowest files — as plain JSON-able data, so CI and bench harnesses
     stop scraping the human-oriented text.
     """
@@ -493,10 +460,6 @@ def summarize_run(run: AuditRun, top: int = 10) -> dict:
             for name, value in sorted(_sum_dicts(records, "replay").items())
         },
         "replay_disagreements": replay_disagreements(records),
-        "nodes": {
-            node: {k: v for k, v in trailer.items() if k not in ("type", "node")}
-            for node, trailer in sorted(run.node_stats.items())
-        },
         "slow_queries": run.slow_queries(top=max(0, top)),
         "slowest_files": [
             {

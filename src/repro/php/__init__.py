@@ -11,6 +11,7 @@ from repro.php.includes import (
     IncludeResolution,
     IncludeScan,
     SourceProject,
+    TreeProject,
     resolve_includes,
     scan_includes,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "IncludeGraph",
     "ParseCache",
     "SourceProject",
+    "TreeProject",
     "content_digest",
     "resolve_includes",
     "scan_includes",

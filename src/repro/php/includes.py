@@ -2,7 +2,7 @@
 
 The paper's AST maker "handles external file inclusions along the way"
 (§4).  Here a :class:`SourceProject` maps relative paths to source text
-(backed by a dict or a directory on disk), and :func:`resolve_includes`
+(backed by a dict, or read lazily from disk by a :class:`TreeProject`), and :func:`resolve_includes`
 splices each statically-resolvable ``include``/``require`` expression
 statement with the parsed statements of the target file.
 
@@ -39,6 +39,7 @@ from repro.php.parser import parse
 
 __all__ = [
     "SourceProject",
+    "TreeProject",
     "IncludeResolution",
     "IncludeScan",
     "resolve_includes",
@@ -85,6 +86,36 @@ class SourceProject:
 
     def __len__(self) -> int:
         return len(self._files)
+
+
+class TreeProject(SourceProject):
+    """Lazy disk-backed project over a known set of files.
+
+    Maps normalized project-relative paths to on-disk ones and reads file
+    text on first access only — auditing two entries reads two closures,
+    not the whole tree.  Read failures (file vanished, permission lost)
+    surface as ``OSError`` from :meth:`source`, for the caller to report
+    per entry.
+    """
+
+    def __init__(self, disk_paths: dict[str, str]) -> None:
+        super().__init__()
+        self._disk_paths = disk_paths
+
+    def has(self, path: str) -> bool:
+        return self.normalize(path) in self._disk_paths
+
+    def source(self, path: str) -> str:
+        normalized = self.normalize(path)
+        if normalized not in self._files and normalized in self._disk_paths:
+            self._files[normalized] = Path(self._disk_paths[normalized]).read_text()
+        return self._files[normalized]
+
+    def paths(self) -> list[str]:
+        return sorted(self._disk_paths)
+
+    def __len__(self) -> int:
+        return len(self._disk_paths)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 def _isolated_cache_dir(tmp_path_factory, monkeypatch):
     """Point the default cache directory at a fresh per-test directory.
 
-    ``repro audit``/``watch``/``work`` persist SAT packs under the
+    ``repro audit``/``watch`` persist SAT packs under the
     default cache dir even with ``--no-cache``; without this a
     test would read (and warm) the user's ``~/.cache/repro-audit``, and
     its counters would depend on what earlier runs left there.

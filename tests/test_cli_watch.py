@@ -94,3 +94,36 @@ class TestOnceMode:
         )
         capsys.readouterr()
         assert rc == 0
+
+
+class TestSharedCacheAcrossCopies:
+    def test_cached_records_name_the_tree_that_was_watched(self, tmp_path, capsys):
+        """Entry tasks key on the tree-relative entry, so a second copy of
+        a tree hits every record of the first; the hits must still carry
+        the second copy's filenames."""
+        from repro.corpus import FIGURE_10, generate_catalog_project
+
+        project = generate_catalog_project(FIGURE_10[14], seed=2004).project
+        copies = [tmp_path / "dup" / "a", tmp_path / "dup" / "b"]
+        for root in copies:
+            for path in project.paths():
+                (root / path).parent.mkdir(parents=True, exist_ok=True)
+                (root / path).write_text(project.source(path))
+        for root in copies:
+            assert main(
+                ["watch", str(root), "--once", "--quiet", "--jobs", "1",
+                 "--cache-dir", str(tmp_path / "cache"),
+                 "--out-dir", str(tmp_path / "out" / root.name)]
+            ) == 0
+        capsys.readouterr()
+        stream = tmp_path / "out" / "b" / "cycle-000001.jsonl"
+        records = [json.loads(line) for line in stream.read_text().splitlines()]
+        files = [r for r in records if r["type"] == "file"]
+        assert len(files) == len(project.paths()) == 21
+        prefix = f"{copies[1]}/"
+        for record in files:
+            assert record["cached"] is True
+            assert record["filename"].startswith(prefix)
+            assert record["summary"].startswith(f"{record['filename']}: ")
+            assert record["detailed"].startswith(f"{record['filename']}: ")
+            assert all(q["file"] == record["filename"] for q in record["slow_queries"])

@@ -307,6 +307,72 @@ class TestCacheIntegration:
         assert task_a.cache_material() != task_b.cache_material()
 
 
+
+class TestEntryCacheKeys:
+    """A task with an ``entry`` keys on the entry, never on the path
+    spelling; only a task without one keys on its filename."""
+
+    def test_standalone_entry_ignores_filename(self):
+        a = AuditTask(0, "/x/a/page.php", source=VULN, entry="page.php")
+        b = AuditTask(0, "b/page.php", source=VULN, entry="page.php")
+        assert a.cache_material() == b.cache_material() == (VULN, "entry=page.php")
+
+    def test_closure_entry_ignores_filename(self):
+        files = {"entry.php": "<?php include 'lib.php';", "lib.php": "<?php echo 1;"}
+        a = AuditTask(0, "/x/a/entry.php", project_files=files, entry="entry.php")
+        b = AuditTask(0, "entry.php", project_files=files, entry="entry.php")
+        assert a.cache_material() == b.cache_material()
+        assert "file=" not in a.cache_material()[1]
+
+    def test_widened_entry_ignores_filename(self):
+        files = {"entry.php": "<?php include $x;"}
+        a = AuditTask(0, "/x/a/entry.php", project_files=files, entry="entry.php",
+                      closure_widened=True, project_digest="d1")
+        b = AuditTask(0, "entry.php", project_files=files, entry="entry.php",
+                      closure_widened=True, project_digest="d1")
+        assert a.cache_material() == b.cache_material() == ("d1", "entry=entry.php|closure=widened")
+
+    def test_different_entries_do_not_share(self):
+        a = AuditTask(0, "t/a.php", source=VULN, entry="a.php")
+        b = AuditTask(0, "t/b.php", source=VULN, entry="b.php")
+        assert a.cache_material() != b.cache_material()
+
+    def test_task_without_entry_keys_on_filename(self):
+        task = AuditTask(0, "a.php", source=VULN)
+        assert task.cache_material() == (VULN, "file=a.php")
+
+
+class TestCachedRecordsTakeTheTaskFilename:
+    def test_hit_through_another_spelling_is_restamped(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        config = EngineConfig(jobs=1, cache=cache)
+        first = AuditEngine(config=config).run(
+            [AuditTask(0, "a/page.php", source=VULN, entry="page.php")]
+        )
+        second = AuditEngine(config=config).run(
+            [AuditTask(0, "b/page.php", source=VULN, entry="page.php")]
+        )
+        [cold], [hit] = first.outcomes, second.outcomes
+        assert hit.cached and second.stats.cache_hits == 1
+        assert hit.filename == "b/page.php"
+        assert hit.summary == cold.summary.replace("a/page.php: ", "b/page.php: ", 1)
+        assert hit.detailed == cold.detailed.replace("a/page.php: ", "b/page.php: ", 1)
+        assert all(q["file"] == "b/page.php" for q in hit.slow_queries)
+        # Spans inside the report render under the entry name, which
+        # both spellings share.
+        assert "a/page.php" not in hit.detailed
+
+    def test_hit_under_the_same_name_is_unchanged(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        config = EngineConfig(jobs=1, cache=cache)
+        task = AuditTask(0, "a/page.php", source=VULN, entry="page.php")
+        [cold] = AuditEngine(config=config).run([task]).outcomes
+        [hit] = AuditEngine(config=config).run([task]).outcomes
+        assert hit.cached
+        assert (hit.filename, hit.summary, hit.detailed) == (
+            cold.filename, cold.summary, cold.detailed
+        )
+
 class TestJsonl:
     def test_sink_records_and_final_stats(self, tmp_path):
         out = tmp_path / "audit.jsonl"

@@ -61,6 +61,37 @@ class TestEndpoints:
                 fetch(server.port, "/nope")
             assert err.value.code == 404
 
+    def test_handler_crash_is_a_500_not_a_dead_server(self, registry):
+        def health():
+            raise RuntimeError("probe exploded")
+
+        with MetricsServer(registry, health=health) as server:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                fetch(server.port, "/healthz")
+            assert err.value.code == 500
+            assert json.loads(err.value.read().decode()) == {
+                "error": "RuntimeError: probe exploded"
+            }
+            # The server must still answer after a handler crash.
+            assert fetch(server.port, "/metrics")[0] == 200
+
+    def test_only_get_is_served(self, registry):
+        with MetricsServer(registry) as server:
+            request = urllib.request.Request(f"{server.url}/metrics", data=b"x")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request, timeout=5)
+            assert err.value.code == 501
+            assert fetch(server.port, "/metrics")[0] == 200
+
+    def test_query_string_ignored(self, registry):
+        with MetricsServer(registry) as server:
+            status, _, body = fetch(server.port, "/healthz?verbose=1")
+            assert status == 200 and json.loads(body) == {"status": "ok"}
+
+    def test_url_property(self, registry):
+        with MetricsServer(registry, host="127.0.0.1") as server:
+            assert server.url == f"http://127.0.0.1:{server.port}"
+
 
 class TestScrapeDuringActiveCycle:
     def test_concurrent_mutation_never_corrupts_a_scrape(self, registry):
@@ -144,6 +175,11 @@ class TestPortHandling:
         with pytest.raises(ValueError):
             parse_bind(":99999")
 
+    @pytest.mark.parametrize("spec", ["", "host:", "host:port", "1.2.3.4:99999"])
+    def test_parse_bind_invalid(self, spec):
+        with pytest.raises(ValueError):
+            parse_bind(spec)
+
 
 class TestShutdown:
     def test_close_releases_the_socket(self, registry):
@@ -159,3 +195,11 @@ class TestShutdown:
             assert not rebound.fell_back
         finally:
             rebound.close()
+
+    def test_close_without_start_releases_socket(self, registry):
+        server = MetricsServer(registry)
+        port = server.port
+        server.close()
+        # The port must be immediately rebindable.
+        with MetricsServer(registry, port=port) as again:
+            assert again.port == port and not again.fell_back

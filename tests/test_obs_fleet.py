@@ -1,6 +1,6 @@
-"""Fleet-wide metrics plumbing: registry snapshots, delta merging with
-counter-reset tolerance, node-labelled + fleet-summed series, quantile
-estimation, and exposition-format label hygiene."""
+"""Metrics registry plumbing: snapshot merging (the watch daemon's
+per-cycle fold), quantile estimation, and exposition-format label
+hygiene."""
 
 import json
 
@@ -9,14 +9,13 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
-    FleetMetrics,
     MetricsRegistry,
     estimate_quantile,
 )
 
 
 def snapshot_roundtrip(registry):
-    """The wire format workers actually ship: JSON-encoded."""
+    """A snapshot after a JSON round trip."""
     return json.loads(json.dumps(registry.snapshot()))
 
 
@@ -123,22 +122,6 @@ class TestSnapshotMerge:
         target.merge_snapshot(source.snapshot())
         assert target.gauge("g").value() == 3
 
-    def test_extra_labels_stamped(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(status="ok")
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot(), labels={"node": "w1"})
-        assert 'c{node="w1",status="ok"} 1' in target.render()
-
-    def test_kinds_filter(self):
-        source = MetricsRegistry()
-        source.counter("c").inc()
-        source.gauge("g").set(9)
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot(), kinds=("counter",))
-        text = target.render()
-        assert "c 1" in text and "g" not in text.replace("# TYPE c counter", "")
-
     def test_bucket_boundary_mismatch_rejected(self):
         source = MetricsRegistry()
         source.histogram("h", buckets=(0.5, 5.0)).observe(0.1)
@@ -146,103 +129,6 @@ class TestSnapshotMerge:
         target.histogram("h", buckets=(1.0, 10.0)).observe(0.1)
         with pytest.raises(ValueError, match="incompatible bucket boundaries"):
             target.merge_snapshot(source.snapshot())
-
-
-class TestFleetMetrics:
-    def make_node(self, count):
-        registry = MetricsRegistry()
-        registry.counter("repro_files_total", "files").inc(count)
-        registry.histogram("repro_file_seconds").observe(0.01 * count)
-        return registry
-
-    def test_per_node_and_fleet_summed_series(self):
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        fleet.ingest("a", self.make_node(2).snapshot())
-        fleet.ingest("b", self.make_node(3).snapshot())
-        text = fleet_registry.render()
-        assert 'repro_files_total{node="a"} 2' in text
-        assert 'repro_files_total{node="b"} 3' in text
-        assert "repro_files_total 5" in text
-        assert 'repro_file_seconds_count{node="a"} 1' in text
-        assert "repro_file_seconds_count 2" in text
-
-    def test_cumulative_snapshots_delta_merged(self):
-        """Shipping the same cumulative snapshot twice must not double-count."""
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        node = self.make_node(4)
-        fleet.ingest("a", node.snapshot())
-        fleet.ingest("a", node.snapshot())  # no progress since last ship
-        assert fleet_registry.counter("repro_files_total").value(node="a") == 4
-        node.counter("repro_files_total").inc(1)
-        fleet.ingest("a", node.snapshot())
-        assert fleet_registry.counter("repro_files_total").value(node="a") == 5
-        assert fleet_registry.counter("repro_files_total").value() == 5
-
-    def test_counter_reset_never_goes_negative(self):
-        """A node restart resets its cumulative counters; the fleet view
-        must absorb the reset without any series moving backwards."""
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        fleet.ingest("a", self.make_node(10).snapshot())
-        # Node restarts: fresh registry, smaller cumulative value.
-        fleet.ingest("a", self.make_node(2).snapshot())
-        assert fleet_registry.counter("repro_files_total").value(node="a") == 12
-        assert fleet_registry.counter("repro_files_total").value() == 12
-
-    def test_histogram_reset_replays_full_snapshot(self):
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        big = MetricsRegistry()
-        for _ in range(5):
-            big.histogram("h").observe(0.01)
-        fleet.ingest("a", big.snapshot())
-        small = MetricsRegistry()
-        small.histogram("h").observe(0.01)
-        fleet.ingest("a", small.snapshot())
-        assert fleet_registry.histogram("h").count(node="a") == 6
-
-    def test_changed_bucket_boundaries_rejected(self):
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        first = MetricsRegistry()
-        first.histogram("h", buckets=(0.1, 1.0)).observe(0.05)
-        fleet.ingest("a", first.snapshot())
-        second = MetricsRegistry()
-        second.histogram("h", buckets=(0.2, 2.0)).observe(0.05)
-        with pytest.raises(ValueError, match="bucket boundaries"):
-            fleet.ingest("a", second.snapshot())
-        # The failed ingest must not have polluted the fleet series.
-        assert fleet_registry.histogram("h", buckets=(0.1, 1.0)).count(node="a") == 1
-
-    def test_gauges_labelled_but_not_fleet_summed(self):
-        """A point-in-time gauge per node is meaningful; a last-write-wins
-        unlabelled 'sum' of them would be garbage."""
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        node = MetricsRegistry()
-        node.gauge("depth").set(4)
-        fleet.ingest("a", node.snapshot())
-        text = fleet_registry.render()
-        assert 'depth{node="a"} 4' in text
-        assert "\ndepth 4" not in text
-
-    def test_forget_drops_history_not_series(self):
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        node = self.make_node(3)
-        fleet.ingest("a", node.snapshot())
-        fleet.forget("a")
-        # Re-ingesting the same cumulative snapshot now replays it in full.
-        fleet.ingest("a", node.snapshot())
-        assert fleet_registry.counter("repro_files_total").value(node="a") == 6
-
-    def test_wire_format_survives_json(self):
-        fleet_registry = MetricsRegistry()
-        fleet = FleetMetrics(fleet_registry)
-        fleet.ingest("a", snapshot_roundtrip(self.make_node(2)))
-        assert fleet_registry.counter("repro_files_total").value(node="a") == 2
 
     def test_default_buckets_sorted(self):
         assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS

@@ -1,6 +1,6 @@
 """The ``repro report --html`` dashboard: self-contained output, escaping,
 and headless-parseable structure (verdict table, stage-latency section,
-slow-query table, node attribution)."""
+slow-query table)."""
 
 import json
 from html.parser import HTMLParser
@@ -56,60 +56,54 @@ def write_stream(path, records, trailers):
 
 
 @pytest.fixture
-def fleet_run(tmp_path):
+def ledger_run(tmp_path):
     records = [
         {
-            "filename": "a.php", "status": "ok", "safe": True, "node": "w1",
+            "filename": "a.php", "status": "ok", "safe": True,
             "duration": 0.2, "timings": {"parse": 0.1, "sat": 0.1},
             "num_ai_assertions": 2,
             "slow_queries": [
                 {"seconds": 0.08, "file": "a.php", "assert_id": 1,
-                 "decisions": 5, "conflicts": 1, "fingerprint": "ab" * 32,
-                 "node": "w1"},
+                 "decisions": 5, "conflicts": 1, "fingerprint": "ab" * 32},
             ],
         },
         {
             "filename": "<evil>&.php", "status": "ok", "safe": False,
-            "node": "w2", "duration": 0.4,
+            "duration": 0.4,
             "timings": {"parse": 0.2, "sat": 0.2},
             "slow_queries": [
                 {"seconds": 0.15, "file": "<evil>&.php", "assert_id": 3,
-                 "decisions": 9, "conflicts": 2, "fingerprint": "cd" * 32,
-                 "node": "w2"},
+                 "decisions": 9, "conflicts": 2, "fingerprint": "cd" * 32},
             ],
         },
         {"filename": "broken.php", "status": "parse-error", "safe": None,
-         "node": "w1", "error": "unexpected token <script>"},
+         "error": "unexpected token <script>"},
     ]
     trailers = [
-        {"node": "w1", "files": 2, "safe": 1, "vulnerable": 0, "failed": 1,
-         "slow_queries": records[0]["slow_queries"]},
-        {"node": "w2", "files": 1, "safe": 0, "vulnerable": 1, "failed": 0,
-         "slow_queries": records[1]["slow_queries"]},
         {"total": 3, "files": 3, "safe": 1, "vulnerable": 1, "failed": 1,
          "wall_seconds": 0.7,
          "slow_queries": records[1]["slow_queries"] + records[0]["slow_queries"]},
     ]
-    return load_audit(write_stream(tmp_path / "fleet.jsonl", records, trailers))
+    return load_audit(write_stream(tmp_path / "run.jsonl", records, trailers))
 
 
 class TestRenderDashboard:
-    def test_self_contained(self, fleet_run):
-        page = render_dashboard(fleet_run)
+    def test_self_contained(self, ledger_run):
+        page = render_dashboard(ledger_run)
         assert page.startswith("<!DOCTYPE html>")
         assert "<script" not in page
         assert "http://" not in page and "https://" not in page
         assert "<style>" in page
 
-    def test_required_sections_parseable(self, fleet_run):
+    def test_required_sections_parseable(self, ledger_run):
         model = PageModel()
-        model.feed(render_dashboard(fleet_run))
-        for required in ("verdicts", "stage-latency", "slow-queries", "nodes"):
+        model.feed(render_dashboard(ledger_run))
+        for required in ("verdicts", "stage-latency", "slow-queries"):
             assert required in model.ids
 
-    def test_verdict_table_rows(self, fleet_run):
+    def test_verdict_table_rows(self, ledger_run):
         model = PageModel()
-        model.feed(render_dashboard(fleet_run))
+        model.feed(render_dashboard(ledger_run))
         rows = model.tables["verdicts"]
         assert rows[0][:3] == ["file", "verdict", "confirmed"]
         by_file = {row[0]: row for row in rows[1:]}
@@ -117,38 +111,30 @@ class TestRenderDashboard:
         assert by_file["<evil>&.php"][1] == "vulnerable"
         assert by_file["broken.php"][1] == "parse-error"
         assert by_file["a.php"][2] == "—"  # no replay section
-        assert by_file["a.php"][5] == "w1"
 
-    def test_stage_latency_section_has_quantiles_and_bars(self, fleet_run):
-        page = render_dashboard(fleet_run)
+    def test_stage_latency_section_has_quantiles_and_bars(self, ledger_run):
+        page = render_dashboard(ledger_run)
         section = page[page.index("stage-latency"):]
         assert "p50" in section and "p99" in section
         assert "bucket-interpolated" in section
         assert "class='bar'" in section
 
-    def test_slow_query_table_attributes_nodes(self, fleet_run):
+    def test_slow_query_table(self, ledger_run):
         model = PageModel()
-        model.feed(render_dashboard(fleet_run))
+        model.feed(render_dashboard(ledger_run))
         rows = model.tables["slow-queries"]
-        nodes = {row[5] for row in rows[1:]}
-        assert nodes == {"w1", "w2"}
+        assert [row[1] for row in rows[1:]] == ["<evil>&.php", "a.php"]
         # Fingerprints are truncated for display.
-        assert rows[1][6] == ("cd" * 32)[:12]
+        assert rows[1][5] == ("cd" * 32)[:12]
 
-    def test_node_table(self, fleet_run):
-        model = PageModel()
-        model.feed(render_dashboard(fleet_run))
-        rows = model.tables["nodes"]
-        assert [row[0] for row in rows[1:]] == ["w1", "w2"]
-
-    def test_filenames_and_errors_escaped(self, fleet_run):
-        page = render_dashboard(fleet_run)
+    def test_filenames_and_errors_escaped(self, ledger_run):
+        page = render_dashboard(ledger_run)
         assert "&lt;evil&gt;&amp;.php" in page
         assert "<evil>" not in page
         assert "unexpected token &lt;script&gt;" in page
 
-    def test_deterministic(self, fleet_run):
-        assert render_dashboard(fleet_run) == render_dashboard(fleet_run)
+    def test_deterministic(self, ledger_run):
+        assert render_dashboard(ledger_run) == render_dashboard(ledger_run)
 
     def test_truncated_stream_warns(self, tmp_path):
         path = tmp_path / "partial.jsonl"
@@ -159,8 +145,8 @@ class TestRenderDashboard:
         assert "no stats trailer" in page
 
     def test_empty_ledger_stream_renders(self, tmp_path):
-        """A stream whose trailers carry empty slow_queries lists (fast
-        fleet) still renders, with an explicit no-ledger message."""
+        """A stream whose trailer carries an empty slow_queries list (a
+        fast run) still renders, with an explicit no-ledger message."""
         path = write_stream(
             tmp_path / "fast.jsonl",
             [{"filename": "a.php", "status": "ok", "safe": True}],

@@ -25,10 +25,10 @@ class TestSlowQueryLedger:
 
     def test_merge_unions_and_rebounds(self):
         a = SlowQueryLedger(capacity=2)
-        a.observe(query(0.3, node="a"))
+        a.observe(query(0.3, file="a.php"))
         b = SlowQueryLedger(capacity=2)
-        b.observe(query(0.7, node="b"))
-        b.observe(query(0.1, node="b"))
+        b.observe(query(0.7, file="b.php"))
+        b.observe(query(0.1, file="b.php"))
         a.merge(b.records())
         assert [q["seconds"] for q in a.records()] == [0.7, 0.3]
 

@@ -82,7 +82,9 @@ class TestNoTreesOnDisk:
         argv = [command, str(tree), "--jobs", "1", "--quiet", "--cache-dir", str(cache)]
         if command == "watch":
             argv += ["--once", "--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 0
+        # page.php echoes the $_GET value lib.php assigns: `audit` resolves
+        # the include and exits 1; `watch --once` always exits 0.
+        assert main(argv) == (1 if command == "audit" else 0)
         capsys.readouterr()
         assert cache.is_dir()
         assert not (cache / "parse").exists()

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.php import IncludeError, SourceProject, resolve_includes, scan_includes
+from repro.php import (
+    IncludeError,
+    SourceProject,
+    TreeProject,
+    resolve_includes,
+    scan_includes,
+)
 from repro.php import ast_nodes as ast
 from repro.php.parsecache import ParseCache, content_digest
 
@@ -32,6 +38,83 @@ class TestSourceProject:
 
     def test_len(self):
         assert len(project(**{"a.php": "<?php"})) == 1
+
+
+def tree(root, **files):
+    """Write ``files`` under ``root`` and map them as a :class:`TreeProject`."""
+    disk = {}
+    for name, text in files.items():
+        rel = name.replace("__", "/")
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        disk[rel] = str(path)
+    return TreeProject(disk)
+
+
+class TestTreeProject:
+    def test_is_a_source_project(self, tmp_path):
+        assert isinstance(tree(tmp_path, **{"a.php": "<?php"}), SourceProject)
+
+    def test_paths_sorted_and_len(self, tmp_path):
+        p = tree(tmp_path, **{"b.php": "<?php", "a.php": "<?php", "sub__c.php": "<?php"})
+        assert p.paths() == ["a.php", "b.php", "sub/c.php"]
+        assert len(p) == 3
+
+    def test_has_normalizes(self, tmp_path):
+        p = tree(tmp_path, **{"lib__a.php": "<?php $x;"})
+        assert p.has("lib/a.php")
+        assert p.has("./lib/../lib/a.php")
+        assert p.has("lib\\a.php")
+        assert not p.has("a.php")
+
+    def test_source_reads_the_mapped_file(self, tmp_path):
+        p = tree(tmp_path, **{"lib__a.php": "<?php $x;"})
+        assert p.source("./lib/a.php") == "<?php $x;"
+
+    def test_reads_lazily_then_keeps_the_first_read(self, tmp_path):
+        p = tree(tmp_path, **{"a.php": "<?php 1;"})
+        # Nothing is read at construction: an edit before the first
+        # access is what the project serves...
+        (tmp_path / "a.php").write_text("<?php 2;")
+        assert p.source("a.php") == "<?php 2;"
+        # ...and the first read is the snapshot from then on.
+        (tmp_path / "a.php").write_text("<?php 3;")
+        assert p.source("a.php") == "<?php 2;"
+
+    def test_vanished_file_raises_oserror(self, tmp_path):
+        p = tree(tmp_path, **{"a.php": "<?php"})
+        (tmp_path / "a.php").unlink()
+        assert p.has("a.php")
+        with pytest.raises(OSError):
+            p.source("a.php")
+
+    def test_unmapped_path_raises_keyerror(self, tmp_path):
+        p = tree(tmp_path, **{"a.php": "<?php"})
+        with pytest.raises(KeyError):
+            p.source("b.php")
+
+    def test_scan_reads_only_the_closure(self, tmp_path):
+        p = tree(tmp_path, **{
+            "index.php": "<?php include 'lib.php'; echo $x;",
+            "lib.php": "<?php $x = 1;",
+            "other.php": "<?php echo 'unrelated';",
+        })
+        # An unreadable file outside the closure does not matter.
+        (tmp_path / "other.php").unlink()
+        scan = scan_includes(p, "index.php")
+        assert scan.closure == {"index.php", "lib.php"}
+
+    def test_resolves_like_an_in_memory_project(self, tmp_path):
+        files = {
+            "index.php": "<?php include 'inc/db.php'; echo $q;",
+            "inc__db.php": "<?php include 'util.php'; $q = $_GET['q'];",
+            "inc__util.php": "<?php $u = 1;",
+        }
+        on_disk = resolve_includes(tree(tmp_path, **files), "index.php")
+        in_memory = resolve_includes(project(**files), "index.php")
+        assert on_disk.edges == in_memory.edges
+        assert on_disk.program == in_memory.program
 
 
 class TestResolveIncludes:

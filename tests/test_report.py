@@ -68,6 +68,21 @@ class TestLoadAudit:
         with pytest.raises(ReportError):
             load_audit(tmp_path / "absent.jsonl")
 
+    def test_unknown_record_types_ignored(self, tmp_path):
+        """Streams from older releases carried per-node trailers and
+        ``node`` fields; they still load, with those parts ignored."""
+        path = tmp_path / "a.jsonl"
+        lines = [
+            file_record("a.php", node="n1"),
+            {"type": "node", "node": "n1", "files": 1},
+            {"type": "stats", "total": 1, "wall_seconds": 1.0},
+        ]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        run = load_audit(path)
+        assert [r["filename"] for r in run.files] == ["a.php"]
+        assert run.stats["total"] == 1 and not run.truncated
+        assert "nodes" not in summarize_run(run)
+
     def test_last_record_per_filename_wins(self, tmp_path):
         path = write_stream(
             tmp_path / "a.jsonl",
@@ -75,60 +90,6 @@ class TestLoadAudit:
         )
         by_name = load_audit(path).by_filename()
         assert by_name["a.php"]["safe"] is False
-
-
-class TestNodeTrailers:
-    """Merged distributed streams (repro serve) interleave per-node
-    stats trailers before the global one; the reader must keep them out
-    of ``run.stats`` (regression: last-trailer-wins clobbered the global
-    tally with the final node's partial counts)."""
-
-    def merged_stream(self, path, with_global=True):
-        records = [
-            file_record("a.php", node="n1"),
-            file_record("b.php", safe=False, node="n2"),
-            {"type": "stats", "node": "n1", "files": 1, "safe": 1,
-             "vulnerable": 0, "failed": 0},
-            {"type": "stats", "node": "n2", "files": 1, "safe": 0,
-             "vulnerable": 1, "failed": 0},
-        ]
-        if with_global:
-            records.append(
-                {"type": "stats", "total": 2, "safe": 1, "vulnerable": 1,
-                 "wall_seconds": 0.5, "nodes": 2}
-            )
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        return path
-
-    def test_node_trailers_do_not_clobber_global_stats(self, tmp_path):
-        run = load_audit(self.merged_stream(tmp_path / "m.jsonl"))
-        assert run.stats["total"] == 2  # the global trailer, not n2's
-        assert not run.truncated
-        assert set(run.node_stats) == {"n1", "n2"}
-        assert run.node_stats["n2"]["vulnerable"] == 1
-
-    def test_incomplete_merged_stream_is_truncated(self, tmp_path):
-        """Node trailers alone (job still running) must read as a
-        truncated run, not as final stats."""
-        run = load_audit(self.merged_stream(tmp_path / "m.jsonl", with_global=False))
-        assert run.stats is None and run.truncated
-        assert len(run.node_stats) == 2
-
-    def test_render_report_lists_nodes(self, tmp_path):
-        text = render_report(load_audit(self.merged_stream(tmp_path / "m.jsonl")))
-        assert "nodes: n1 (1 file(s)), n2 (1 file(s))" in text
-        assert "files: 2/2 audited" in text
-
-    def test_diff_tolerates_merged_streams(self, tmp_path):
-        """`repro report --diff` between a single-box run and a merged
-        fleet run of the same corpus must be clean."""
-        merged = self.merged_stream(tmp_path / "merged.jsonl")
-        single = write_stream(
-            tmp_path / "single.jsonl",
-            [file_record("a.php"), file_record("b.php", safe=False)],
-        )
-        assert main(["report", "--diff", str(single), str(merged)]) == 0
-        assert main(["report", "--diff", str(merged), str(single)]) == 0
 
 
 class TestRenderReport:
@@ -281,40 +242,36 @@ class TestStageQuantiles:
 
 
 class TestSlowQueries:
-    def fleet_stream(self, path):
-        queries = {
-            "n1": [{"seconds": 0.5, "file": "a.php", "assert_id": 1,
-                    "decisions": 10, "conflicts": 2, "fingerprint": "f" * 64}],
-            "n2": [{"seconds": 0.9, "file": "b.php", "assert_id": 2,
-                    "decisions": 20, "conflicts": 4, "fingerprint": "e" * 64}],
-        }
+    def ledger_stream(self, path):
+        queries = [
+            {"seconds": 0.9, "file": "b.php", "assert_id": 2,
+             "decisions": 20, "conflicts": 4, "fingerprint": "e" * 64},
+            {"seconds": 0.5, "file": "a.php", "assert_id": 1,
+             "decisions": 10, "conflicts": 2, "fingerprint": "f" * 64},
+        ]
         records = [
-            file_record("a.php", node="n1"),
-            file_record("b.php", node="n2"),
-            {"type": "stats", "node": "n1", "files": 1, "safe": 1,
-             "vulnerable": 0, "failed": 0, "slow_queries": queries["n1"]},
-            {"type": "stats", "node": "n2", "files": 1, "safe": 1,
-             "vulnerable": 0, "failed": 0, "slow_queries": queries["n2"]},
+            file_record("a.php", slow_queries=queries[1:]),
+            file_record("b.php", slow_queries=queries[:1]),
             {"type": "stats", "total": 2, "safe": 2, "vulnerable": 0,
-             "wall_seconds": 0.5},
+             "wall_seconds": 0.5, "slow_queries": queries},
         ]
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         return path
 
-    def test_merged_across_node_trailers(self, tmp_path):
-        run = load_audit(self.fleet_stream(tmp_path / "m.jsonl"))
+    def test_read_from_the_trailer_ledger(self, tmp_path):
+        run = load_audit(self.ledger_stream(tmp_path / "m.jsonl"))
         slow = run.slow_queries()
         assert [q["seconds"] for q in slow] == [0.9, 0.5]
-        assert [q["node"] for q in slow] == ["n2", "n1"]
+        assert [q["file"] for q in slow] == ["b.php", "a.php"]
 
     def test_top_limits(self, tmp_path):
-        run = load_audit(self.fleet_stream(tmp_path / "m.jsonl"))
+        run = load_audit(self.ledger_stream(tmp_path / "m.jsonl"))
         assert len(run.slow_queries(top=1)) == 1
 
     def test_render_report_table(self, tmp_path):
-        text = render_report(load_audit(self.fleet_stream(tmp_path / "m.jsonl")))
+        text = render_report(load_audit(self.ledger_stream(tmp_path / "m.jsonl")))
         assert "slow queries (top 2):" in text
-        assert "node n1" in text and "node n2" in text
+        assert "a.php" in text and "b.php" in text
         assert "fp eeeeeeeeeeee" in text
 
     def test_falls_back_to_file_records(self, tmp_path):

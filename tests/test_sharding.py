@@ -1,9 +1,9 @@
-"""Deterministic corpus sharding (repro.service.sharding): spec parsing,
-disjoint/exhaustive partitions, and stability under rename/add."""
+"""Deterministic corpus sharding (repro.engine.sharding): spec parsing
+and content-hash shard assignment."""
 
 import pytest
 
-from repro.service import assign_shard, parse_shard, shard_partition
+from repro.engine.sharding import assign_shard, parse_shard
 
 
 def corpus(count=40):
@@ -44,65 +44,3 @@ class TestAssignShard:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             assign_shard("x", 0)
-
-
-class TestPartition:
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
-    def test_disjoint_and_exhaustive(self, count):
-        """Every file lands on exactly one of the n shards, so the union
-        of all shard audits is the whole corpus with no duplicates."""
-        items = corpus()
-        shards = [shard_partition(items, i, count) for i in range(count)]
-        union = [name for shard in shards for name in shard]
-        assert sorted(union) == sorted(name for name, _ in items)
-        assert len(union) == len(set(union))
-
-    def test_order_preserved_within_shard(self):
-        items = corpus()
-        names = [name for name, _ in items]
-        shard = shard_partition(items, 0, 3)
-        positions = [names.index(name) for name in shard]
-        assert positions == sorted(positions)
-
-    def test_stable_under_rename(self):
-        """Assignment is a pure function of content: renaming every file
-        moves nothing between shards."""
-        items = corpus()
-        by_name = dict(items)
-        renamed = [
-            (f"deep/nested/{i}.php", content)
-            for i, (_, content) in enumerate(items)
-        ]
-        by_new_name = dict(renamed)
-        for count in (2, 3, 5):
-            for index in range(count):
-                original = [by_name[n] for n in shard_partition(items, index, count)]
-                moved = [by_new_name[n] for n in shard_partition(renamed, index, count)]
-                assert original == moved
-
-    def test_stable_under_add_and_remove(self):
-        """Adding or removing files never reshuffles the survivors."""
-        items = corpus()
-        grown = items + [("extra.php", "<?php exit; ?>")]
-        shrunk = items[:-5]
-        for index in range(4):
-            base = set(shard_partition(items, index, 4))
-            assert base <= set(shard_partition(grown, index, 4))
-            survivors = set(shard_partition(shrunk, index, 4))
-            assert survivors == {name for name, _ in shrunk} & base
-
-    def test_duplicate_content_colocates(self):
-        """Identical files share a cache entry, so they must share a shard."""
-        twin = "<?php echo $dup; ?>"
-        items = [("a.php", twin), ("b/z.php", twin)]
-        owners = [
-            index
-            for index in range(6)
-            if shard_partition(items, index, 6)
-        ]
-        assert len(owners) == 1
-        assert len(shard_partition(items, owners[0], 6)) == 2
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            shard_partition(corpus(), 4, 4)
