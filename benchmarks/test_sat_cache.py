@@ -90,7 +90,6 @@ def make_corpus() -> list[tuple[str, str]]:
 def sweep(
     files: list[tuple[str, str]],
     sat_cache: SatQueryCache | None,
-    solver: str = "cdcl",
     incremental: bool = True,
 ):
     tasks = [
@@ -100,7 +99,6 @@ def sweep(
     websari = WebSSARI(
         prelude=build_policy(),
         sat_cache=sat_cache,
-        solver=solver,
         sat_incremental=incremental,
     )
     engine = AuditEngine(websari=websari, config=EngineConfig(jobs=1, cache=None))
@@ -200,13 +198,12 @@ def test_cold_vs_warm_sat_cache(benchmark, tmp_path):
 
 
 @pytest.mark.benchmark(group="sat-incremental")
-def test_incremental_and_portfolio_sat(benchmark, tmp_path):
+def test_incremental_sat(benchmark, tmp_path):
     """Contract: incremental enumeration makes the *cold* sweep ≥ 1.5×
     faster than the pre-incremental baseline (measured in-process via
     the ``sat_incremental=False`` ablation), with byte-identical
-    verdicts; the portfolio backend
-    agrees on every verdict too.  A trajectory point with
-    ``assertions_per_second`` for all four sweeps lands in
+    verdicts.  A trajectory point with
+    ``assertions_per_second`` for all three sweeps lands in
     ``BENCH_sat_cache.json`` (or ``$REPRO_BENCH_OUT`` in smoke mode, so
     CI can archive the numbers without touching the tracked file).
     """
@@ -228,18 +225,14 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
     warm_cache = SatQueryCache(persist_dir=persist)
     warm = sweep(files, sat_cache=warm_cache)
 
-    # Portfolio racing, same corpus, fresh cache.
-    portfolio = sweep(files, SatQueryCache(), solver="portfolio")
-
     sweeps = [
         ("baseline", baseline),
         ("incremental", cold),
         ("warm", warm),
-        ("portfolio", portfolio),
     ]
     print()
     print(
-        f"SAT incremental/portfolio — {len(files)} files, "
+        f"SAT incremental — {len(files)} files, "
         f"{LEVELS}-level lattice, file-level cache disabled"
     )
     for label, result in sweeps:
@@ -248,8 +241,8 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
             f"{assertions_per_second(result):8.1f} assertions/s"
         )
 
-    # Verdict parity: incremental machinery and racing are invisible in
-    # the results.
+    # Verdict parity: the incremental machinery and the warm cache are
+    # invisible in the results.
     for label, result in sweeps[1:]:
         assert [o.safe for o in result.outcomes] == [
             o.safe for o in baseline.outcomes
@@ -274,7 +267,6 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
             "cold": assertions_per_second(baseline),
             "warm": assertions_per_second(warm),
             "incremental": assertions_per_second(cold),
-            "portfolio": assertions_per_second(portfolio),
         },
     }
     out = os.environ.get("REPRO_BENCH_OUT")

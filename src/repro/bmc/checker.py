@@ -47,13 +47,12 @@ from repro.obs.ledger import SlowQueryLedger
 from repro.bmc.trace import CounterexampleTrace, ViolatingVariable, reconstruct_trace
 from repro.sat.cache import CachingSatSolver, SatQueryCache
 from repro.sat.dpll import IncrementalDPLL
-from repro.sat.portfolio import PortfolioSolver
 from repro.sat.solver import CDCLSolver, SolverStats, accumulate_stats
 
 __all__ = ["AssertionResult", "BMCResult", "BMCChecker", "check_program"]
 
 AccumulatePolicy = Literal["never", "safe-only", "always"]
-SolverBackend = Literal["cdcl", "dpll", "portfolio"]
+SolverBackend = Literal["cdcl", "dpll"]
 
 
 @dataclass
@@ -137,13 +136,12 @@ class BMCChecker:
         #: formulation, which re-enumerates each path once per assignment
         #: of the irrelevant variables.  Kept for the ABL-ENUM ablation.
         self.blocking = blocking
-        if solver_backend not in ("cdcl", "dpll", "portfolio"):
+        if solver_backend not in ("cdcl", "dpll"):
             raise ValueError(f"unknown solver backend {solver_backend!r}")
         self.solver_backend = solver_backend
-        #: CDCL tuning knobs threaded from the CLI; ``restart_strategy``
-        #: picks the restart schedule and ``sat_seed`` perturbs VSIDS
-        #: tie-breaks / initial phases (0 = historical deterministic
-        #: defaults).  In portfolio mode they configure the primary lane.
+        #: CDCL settings: ``restart_strategy`` picks the restart schedule
+        #: and ``sat_seed`` perturbs VSIDS tie-breaks / initial phases
+        #: (0 = deterministic defaults).
         self.restart_strategy = restart_strategy
         self.sat_seed = sat_seed
         #: Ablation switch: False restores the pre-incremental CDCL
@@ -159,16 +157,10 @@ class BMCChecker:
         #: engine merges one ledger per file into the run-wide top-K.
         self._ledger = SlowQueryLedger(capacity=8)
 
-    def _make_solver(
-        self,
-    ) -> CDCLSolver | IncrementalDPLL | PortfolioSolver | CachingSatSolver:
-        inner: CDCLSolver | IncrementalDPLL | PortfolioSolver
+    def _make_solver(self) -> CDCLSolver | IncrementalDPLL | CachingSatSolver:
+        inner: CDCLSolver | IncrementalDPLL
         if self.solver_backend == "dpll":
             inner = IncrementalDPLL()
-        elif self.solver_backend == "portfolio":
-            inner = PortfolioSolver(
-                restart_strategy=self.restart_strategy, seed=self.sat_seed
-            )
         else:
             inner = CDCLSolver(
                 restart_strategy=self.restart_strategy,
@@ -294,22 +286,16 @@ class BMCChecker:
                 solve = solver.solve(assumptions=[act])
                 solve_seconds = time.perf_counter() - solve_start
             stats = solve.stats
-            winner = getattr(solver, "last_winner", None)
-            record = {
+            self._ledger.observe({
                 "seconds": solve_seconds,
                 "assert_id": encoded.event.assert_id,
                 "iteration": iteration,
                 "decisions": stats.decisions,
                 "conflicts": stats.conflicts,
-                "satisfiable": bool(solve.satisfiable),
+                "satisfiable": solve.satisfiable,
                 "backend": self.solver_backend,
                 "fingerprint": getattr(solver, "last_query_key", None),
-            }
-            if winner is not None:
-                # Portfolio mode: name the configuration that decided the
-                # query, so ledger entries attribute hard solves per-lane.
-                record["winner"] = winner
-            self._ledger.observe(record)
+            })
             iteration += 1
             solve_span.set(
                 satisfiable=solve.satisfiable,
@@ -322,12 +308,6 @@ class BMCChecker:
                 sat_cache_hit=stats.cache_hits > 0,
             )
             self._tally_solve(stats)
-            if stats.portfolio_races and winner is not None:
-                # Dynamic per-winner counters ride the same solver_stats
-                # dict as the dataclass counters, so they flow into the
-                # JSONL records, metrics, and reports unchanged.
-                key = "portfolio_win_" + winner.replace("-", "_")
-                self._solver_totals[key] = self._solver_totals.get(key, 0) + 1
             if not solve.satisfiable:
                 break
             model = solve.model

@@ -3,22 +3,19 @@
 ```
 python -m repro [--prelude P] <command> ...
 python -m repro verify  file.php [dir/ ...] [--detailed] [--stats]
-                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
+                        [--solver cdcl|dpll] [--sat-cache on|off]
                         [--replay on|off] [--trace out.json]
 python -m repro audit   dir/ [--jobs N] [--timeout S] [--cache-dir D]
                         [--no-cache] [--jsonl out.jsonl] [--detailed]
                         [--quiet] [--trace out.json] [--metrics out.prom]
-                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
+                        [--solver cdcl|dpll] [--sat-cache on|off]
                         [--shard I/N] [--start-method fork|spawn]
                         [--replay on|off]
 python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
                         [--timeout S] [--cache-dir D] [--no-cache]
                         [--out-dir D] [--serve-metrics [HOST]:PORT]
                         [--once] [--quiet]
-                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
+                        [--solver cdcl|dpll] [--sat-cache on|off]
                         [--start-method fork|spawn] [--replay on|off]
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
 python -m repro report  --diff old.jsonl new.jsonl
@@ -27,12 +24,13 @@ python -m repro html    file.php [-o report.html]
 python -m repro figure10 [--jobs N]
 ```
 
-``verify`` walks files sequentially in-process, each a standalone
-source; ``audit`` is the batch engine — each directory argument is a
-project root whose entries are verified with their includes resolved,
-over a worker pool with per-file timeouts, crash isolation, and a
-content-addressed result cache (see ``repro.engine``).  Both share the
-CI-friendly exit-code contract:
+``verify`` and ``audit`` treat each directory argument as a project
+root (a file argument's root is its parent directory) and verify every
+entry with its includes resolved.  ``verify`` runs the entries one by
+one in-process; ``audit`` is the batch engine, over a worker pool with
+per-file timeouts, crash isolation, and a content-addressed result
+cache (see ``repro.engine``).  Both share the CI-friendly exit-code
+contract:
 
 * ``0`` — every analyzed file verified safe;
 * ``1`` — at least one file has a confirmed vulnerability (takes
@@ -63,12 +61,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.php.errors import FrontendError
 from repro.php.includes import TreeProject
 from repro.policy.preludefile import load_prelude
 from repro.websari.htmlreport import render_html_report
 from repro.websari.pipeline import WebSSARI
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.worker import AuditTask
 
 __all__ = ["main", "build_parser"]
 
@@ -102,7 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser(
-        "verify", help="verify PHP files or directories", epilog=EXIT_CODES_HELP
+        "verify",
+        help="verify PHP files or directories",
+        description="Verify every PHP entry with its includes resolved, one "
+        "at a time in-process. Each directory argument is a project root; "
+        "a file argument's root is its parent directory.",
+        epilog=EXIT_CODES_HELP,
     )
     verify.add_argument("paths", nargs="+", type=Path)
     verify.add_argument("--detailed", action="store_true", help="print counterexample traces")
@@ -111,22 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-file SAT-solver and formula statistics",
     )
     verify.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
+        "--solver", choices=("cdcl", "dpll"), default="cdcl",
         help="SAT backend (dpll is the slow ablation baseline)",
     )
     verify.add_argument(
         "--sat-cache", choices=("on", "off"), default="off",
         help="memoize SAT queries by canonical CNF fingerprint across the "
         "files of this run (in-memory; see docs/SOLVER.md)",
-    )
-    verify.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    verify.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
     )
     verify.add_argument(
         "--replay", choices=("on", "off"), default="off",
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Prometheus text-format metrics snapshot of the run",
     )
     audit.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
+        "--solver", choices=("cdcl", "dpll"), default="cdcl",
         help="SAT backend (dpll is the slow ablation baseline)",
     )
     audit.add_argument(
@@ -191,15 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under <cache-dir>/sat so repeated code shapes accelerate even "
         "cold (file-level-miss) runs; independent of --no-cache "
         "(see docs/SOLVER.md)",
-    )
-    audit.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    audit.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
     )
     audit.add_argument(
         "--shard", metavar="I/N", default=None,
@@ -283,21 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", "-q", action="store_true", help="suppress per-cycle summaries"
     )
     watch.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
+        "--solver", choices=("cdcl", "dpll"), default="cdcl",
         help="SAT backend (dpll is the slow ablation baseline)",
     )
     watch.add_argument(
         "--sat-cache", choices=("on", "off"), default="on",
         help="persistent SAT-query memo under <cache-dir>/sat (see docs/SOLVER.md)",
-    )
-    watch.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    watch.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
     )
     watch.add_argument(
         "--start-method", choices=("fork", "spawn"), default=None,
@@ -356,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_php_files(paths: list[Path]) -> list[Path]:
-    """The PHP files of :func:`_collect_entries`, without their roots."""
-    return [path for path, _root in _collect_entries(paths)]
-
-
 def _collect_entries(paths: list[Path]) -> list[tuple[Path, Path]]:
     """Expand files and directories into deduplicated ``(file, root)``
     pairs of PHP files.
@@ -417,8 +391,6 @@ def _make_websari(args: argparse.Namespace) -> WebSSARI:
         prelude=prelude,
         solver=getattr(args, "solver", "cdcl"),
         sat_cache=sat_cache,
-        restart_strategy=getattr(args, "restart_strategy", "geometric"),
-        sat_seed=getattr(args, "sat_seed", 0),
         replay=getattr(args, "replay", "off") == "on",
     )
 
@@ -441,7 +413,7 @@ def _solver_stats_lines(report) -> list[str]:
         f"  solver[{bmc.solver_backend}]: {counters} "
         f"in {bmc.num_solve_calls} solve call(s)",
         f"  preprocessing: {totals.get('preprocessed_clauses', 0)} clause(s) "
-        f"simplified at add time, {totals.get('lbd_deletions', 0)} LBD deletion(s)",
+        "simplified at add time",
     ]
     if totals.get("cache_hits", 0) or totals.get("cache_misses", 0):
         lines.append(
@@ -453,19 +425,6 @@ def _solver_stats_lines(report) -> list[str]:
             f"  incremental: {totals['root_satisfied_deleted']} "
             "dead clause(s) reclaimed"
         )
-    if totals.get("portfolio_races", 0):
-        wins = ", ".join(
-            f"{name[len('portfolio_win_'):].replace('_', '-')} x{count}"
-            for name, count in sorted(totals.items())
-            if name.startswith("portfolio_win_")
-        )
-        line = (
-            f"  portfolio: {totals.get('portfolio_races', 0)} race(s), "
-            f"{totals.get('portfolio_wasted_conflicts', 0)} wasted conflict(s)"
-        )
-        if wins:
-            line += f"; wins: {wins}"
-        lines.append(line)
     lines.append(
         f"  formula: {bmc.num_vars} var(s), {bmc.num_clauses} clause(s), "
         f"{bmc.solve_seconds:.3f}s solving"
@@ -474,64 +433,36 @@ def _solver_stats_lines(report) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer, set_tracer, write_chrome_trace
+    from repro.engine.worker import execute_task
+    from repro.obs import Tracer, get_tracer, set_tracer, write_chrome_trace
 
     websari = _make_websari(args)
-    files = _collect_php_files(args.paths)
+    files = _collect_entries(args.paths)
     if not files:
         print("no PHP files found", file=sys.stderr)
         return 2
     tracer = Tracer(enabled=True) if args.trace else None
     previous_tracer = set_tracer(tracer) if tracer is not None else None
     any_vulnerable = False
-    any_error = False
     try:
-        for path in files:
-            try:
-                source = path.read_text()
-                report = websari.verify_source(source, filename=str(path))
-            except FrontendError as error:
-                print(f"{path}: frontend error: {error}", file=sys.stderr)
+        # The same tasks `audit` builds, run one by one in-process; replay
+        # (when on) re-executes each entry with its included sources.
+        tasks, _, any_error = _entry_tasks(websari, files)
+        for task in tasks:
+            with get_tracer().span("file", filename=task.filename):
+                outcome = execute_task(task, websari, want_report=True)
+            if outcome.status != "ok":
+                kind = outcome.status.replace("-", " ")
+                print(f"{task.filename}: {kind}: {outcome.error}", file=sys.stderr)
                 any_error = True
                 continue
-            except OSError as error:
-                print(f"{path}: {error}", file=sys.stderr)
-                any_error = True
-                continue
-            print(report.detailed_report() if args.detailed else report.summary())
+            report = outcome.report
+            print(outcome.detailed if args.detailed else outcome.summary)
             if args.stats:
                 for line in _solver_stats_lines(report):
                     print(line)
-            if getattr(args, "replay", "off") == "on" and not report.safe:
-                from repro.replay import (
-                    replay_source,
-                    skipped_traces,
-                    summarize_replays,
-                )
-
-                summary = summarize_replays(
-                    replay_source(source, report, filename=str(path)),
-                    skipped=skipped_traces(report.bmc.all_counterexamples()),
-                )
-                line = (
-                    f"  replay: {summary['confirmed']} confirmed, "
-                    f"{summary['refuted']} refuted, "
-                    f"{summary['unsupported']} unsupported"
-                )
-                if summary["skipped"]:
-                    line += f", {summary['skipped']} skipped"
-                print(line)
-                for trace in summary["traces"]:
-                    line = (
-                        f"    assertion {trace['assert_id']}: {trace['verdict']}"
-                    )
-                    if trace.get("channel"):
-                        line += f" via {trace['channel']}"
-                    if trace.get("patched"):
-                        line += f"; patched: {trace['patched']}"
-                    if trace.get("reason"):
-                        line += f" ({trace['reason']})"
-                    print(line)
+            if outcome.replay:
+                _print_replay(outcome.replay)
             print()
             any_vulnerable = any_vulnerable or not report.safe
     finally:
@@ -552,6 +483,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 2 if any_error else 0
 
 
+def _print_replay(summary: dict) -> None:
+    """Terminal rendering of one file's ``replay`` record."""
+    line = (
+        f"  replay: {summary['confirmed']} confirmed, "
+        f"{summary['refuted']} refuted, "
+        f"{summary['unsupported']} unsupported"
+    )
+    if summary["skipped"]:
+        line += f", {summary['skipped']} skipped"
+    if summary.get("error"):
+        line += f" (replay error: {summary['error']})"
+    print(line)
+    for trace in summary["traces"]:
+        line = f"    assertion {trace['assert_id']}: {trace['verdict']}"
+        if trace.get("channel"):
+            line += f" via {trace['channel']}"
+        if trace.get("patched"):
+            line += f"; patched: {trace['patched']}"
+        if trace.get("reason"):
+            line += f" ({trace['reason']})"
+        print(line)
+
+
 def _tree_project(root: Path, entries: list[Path]) -> TreeProject:
     """The lazy on-disk project rooted at ``root``: every ``.php`` file
     under it, plus the named entries whatever their suffix."""
@@ -564,43 +518,27 @@ def _tree_project(root: Path, entries: list[Path]) -> TreeProject:
     )
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.engine import (
-        AuditEngine,
-        AuditTask,
-        EngineConfig,
-        JsonlSink,
-        ResultCache,
-        default_cache_dir,
-    )
-    from repro.engine.sharding import assign_shard, parse_shard
+def _entry_tasks(
+    websari: WebSSARI,
+    files: list[tuple[Path, Path]],
+    shard: tuple[int, int] | None = None,
+) -> "tuple[list[AuditTask], int, bool]":
+    """Build the engine task of every ``(file, root)`` entry.
+
+    Every entry is scanned for includes against its project root and
+    built by ``entry_task``, exactly as ``watch`` and ``verify_project``
+    do; the scan parses through the verifier's memo, and each root
+    shares one whole-project memo for widened entries.  With ``shard``
+    ``(i, n)``, entries whose source hashes to another shard are left
+    out.  Returns the tasks, the number of entries left to other shards,
+    and whether any entry could not be read or scanned (each reported on
+    stderr).
+    """
+    from repro.engine.sharding import assign_shard
     from repro.engine.worker import entry_task
-    from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
     from repro.php.errors import IncludeError
     from repro.php.includes import scan_includes
 
-    shard = None
-    if args.shard:
-        try:
-            shard = parse_shard(args.shard)
-        except ValueError as error:
-            print(f"audit: {error}", file=sys.stderr)
-            return 2
-
-    websari = _make_websari(args)
-    # Persist SAT query results under the engine's cache root even when
-    # --no-cache disables the file-level result cache: the layers are
-    # independent (see docs/SOLVER.md).
-    websari.attach_persistent_sat_cache(args.cache_dir or default_cache_dir())
-    files = _collect_entries(args.paths)
-    if not files:
-        print("no PHP files found", file=sys.stderr)
-        return 2
-
-    # Every entry is scanned for includes against its project root and
-    # built by entry_task, exactly as `watch` and `verify_project` do;
-    # the scan parses through the verifier's memo, and each root shares
-    # one whole-project memo for widened entries.
     by_root: dict[Path, list[Path]] = {}
     for path, root in files:
         by_root.setdefault(root, []).append(path)
@@ -623,6 +561,39 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         except (OSError, IncludeError) as error:
             print(f"{path}: {error}", file=sys.stderr)
             any_read_error = True
+    return tasks, skipped_other_shards, any_read_error
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    from repro.engine import (
+        AuditEngine,
+        EngineConfig,
+        JsonlSink,
+        ResultCache,
+        default_cache_dir,
+    )
+    from repro.engine.sharding import parse_shard
+    from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+
+    shard = None
+    if args.shard:
+        try:
+            shard = parse_shard(args.shard)
+        except ValueError as error:
+            print(f"audit: {error}", file=sys.stderr)
+            return 2
+
+    websari = _make_websari(args)
+    # Persist SAT query results under the engine's cache root even when
+    # --no-cache disables the file-level result cache: the layers are
+    # independent (see docs/SOLVER.md).
+    websari.attach_persistent_sat_cache(args.cache_dir or default_cache_dir())
+    files = _collect_entries(args.paths)
+    if not files:
+        print("no PHP files found", file=sys.stderr)
+        return 2
+
+    tasks, skipped_other_shards, any_read_error = _entry_tasks(websari, files, shard)
     if shard is not None:
         print(
             f"shard {args.shard}: {len(tasks)} of "

@@ -47,7 +47,7 @@ __all__ = [
 #:  4: records gained the per-file slow-query ledger.
 #:  5: the CDCL solver became incremental (trail/VSIDS/learned-clause
 #:  retention across the enumeration, gate retirement sweeps, learned
-#:  clause import) and the portfolio backend landed — verdicts are
+#:  clause import) and a racing backend landed — verdicts are
 #:  unchanged but every embedded counter is.
 #:  6: records gained the per-file ``includes`` section and project
 #:  entries switched from whole-project to closure-scoped cache keys —
@@ -55,8 +55,10 @@ __all__ = [
 #:  7: records gained the per-file ``replay`` section (concrete witness
 #:  replay verdicts) — pre-replay entries must become clean misses.
 #:  8: the ``solver`` record section lost the ``learned_imported``
-#:  counter when learned-clause exchange was deleted.)
-ENGINE_VERSION = "8"
+#:  counter when learned-clause exchange was deleted.
+#:  9: the ``solver`` record section lost the LBD-deletion and
+#:  racing-backend counters when those mechanisms were deleted.)
+ENGINE_VERSION = "9"
 
 #: Cache record schema version (independent of verdict semantics).
 _RECORD_VERSION = 1

@@ -190,7 +190,6 @@ class EngineStats:
                     ("learned_clauses", "learned"),
                     ("restarts", "restarts"),
                     ("preprocessed_clauses", "preprocessed"),
-                    ("lbd_deletions", "LBD deletion(s)"),
                 )
                 if name in self.solver_totals
             ]

@@ -241,8 +241,6 @@ def _format_slow_query(query: dict) -> str:
     ]
     if counters:
         parts.append(", ".join(counters))
-    if query.get("winner"):
-        parts.append(f"won by {query['winner']}")
     fingerprint = query.get("fingerprint")
     if isinstance(fingerprint, str) and fingerprint:
         parts.append(f"fp {fingerprint[:12]}")
@@ -312,7 +310,7 @@ def render_report(run: AuditRun, top: int = 10) -> str:
     if solver_totals:
         order = ("solve_calls", "decisions", "propagations", "conflicts",
                  "learned_clauses", "restarts", "preprocessed_clauses",
-                 "lbd_deletions", "cache_hits", "cache_misses")
+                 "cache_hits", "cache_misses")
         parts = [
             f"{int(solver_totals[name])} {name.replace('_', ' ')}"
             for name in order
@@ -323,19 +321,6 @@ def render_report(run: AuditRun, top: int = 10) -> str:
         reclaimed = int(solver_totals.get("root_satisfied_deleted", 0))
         if reclaimed:
             lines.append(f"incremental: {reclaimed} dead clause(s) reclaimed")
-        races = int(solver_totals.get("portfolio_races", 0))
-        if races:
-            wasted = int(solver_totals.get("portfolio_wasted_conflicts", 0))
-            prefix = "portfolio_win_"
-            wins = ", ".join(
-                f"{name[len(prefix):].replace('_', '-')} x{int(count)}"
-                for name, count in sorted(solver_totals.items())
-                if name.startswith(prefix)
-            )
-            line = f"portfolio: {races} race(s), {wasted} wasted conflict(s)"
-            if wins:
-                line += f"; wins: {wins}"
-            lines.append(line)
 
     include_totals = _sum_dicts(records, "includes")
     if include_totals:

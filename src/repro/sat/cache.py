@@ -234,11 +234,8 @@ class CachingSatSolver:
         self._hash = seed
         self.stats = SolverStats()
         #: Canonical-CNF fingerprint of the most recent solve() — the slow-
-        #: query ledger's stable cross-node query identity.
+        #: query ledger's query identity, stable across files and runs.
         self.last_query_key: str | None = None
-        #: Winning portfolio configuration of the most recent solve, when
-        #: the backend races one (None on cache hits and plain backends).
-        self.last_winner: str | None = None
         #: This program's pack: named by its first query key, holding the
         #: records read from disk plus every record this solver looked up
         #: or stored since.  ``_dirty`` is set once a query was solved.
@@ -286,18 +283,13 @@ class CachingSatSolver:
                 self._inner.add_clause(item)
         self._pending.clear()
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        conflict_budget: int | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         assumptions = tuple(assumptions)
         key = self._query_key(assumptions)
         # Exposed for observability: the BMC checker records this as the
         # slow-query ledger fingerprint, tying hard queries back to their
         # canonical-CNF cache entries.
         self.last_query_key = key
-        self.last_winner = None
         if self._pack is None:
             self._pack = key
             self._pack_records = self._cache.load_pack(key)
@@ -313,13 +305,10 @@ class CachingSatSolver:
                 stats=self.stats,
             )
         self._flush()
-        result = self._inner.solve(
-            assumptions=assumptions, conflict_budget=conflict_budget
-        )
+        result = self._inner.solve(assumptions=assumptions)
         self.stats = result.stats
-        self.last_winner = getattr(self._inner, "last_winner", None)
         result.stats.cache_misses += 1
-        if result.satisfiable is True and result.model is not None:
+        if result.satisfiable:
             self._store(
                 key,
                 {
@@ -329,7 +318,7 @@ class CachingSatSolver:
                     ),
                 },
             )
-        elif result.satisfiable is False:
+        else:
             self._store(key, {"sat": False, "true": []})
         return result
 

@@ -20,18 +20,14 @@ __all__ = ["DPLLSolver", "IncrementalDPLL"]
 class DPLLSolver:
     """Recursive DPLL with unit propagation and pure-literal elimination."""
 
-    def __init__(self, formula: CNF, max_decisions: int | None = None) -> None:
+    def __init__(self, formula: CNF) -> None:
         self._clauses = [list(clause) for clause in formula.clauses]
         self._num_vars = formula.num_vars
-        self._max_decisions = max_decisions
         self.stats = SolverStats()
 
     def solve(self) -> SolveResult:
         self.stats = SolverStats()
-        try:
-            model = self._search(self._clauses, {})
-        except _BudgetExceeded:
-            return SolveResult(satisfiable=None, stats=self.stats)
+        model = self._search(self._clauses, {})
         if model is None:
             return SolveResult(satisfiable=False, stats=self.stats)
         # Complete the model for variables eliminated along the way.
@@ -50,8 +46,6 @@ class DPLLSolver:
             return None
         if not clauses:
             return assignment
-        if self._max_decisions is not None and self.stats.decisions >= self._max_decisions:
-            raise _BudgetExceeded
         lit = self._choose_literal(clauses)
         self.stats.decisions += 1
         for value in (lit, -lit):
@@ -112,10 +106,6 @@ class DPLLSolver:
         return shortest[0]
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class IncrementalDPLL:
     """Incremental facade over :class:`DPLLSolver` matching the subset of
     :class:`~repro.sat.solver.CDCLSolver`'s surface the BMC checker uses
@@ -139,18 +129,10 @@ class IncrementalDPLL:
     def add_clause(self, literals: Iterable[int]) -> None:
         self._cnf.add_clause(tuple(literals))
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        conflict_budget: int | None = None,
-    ) -> SolveResult:
-        """DPLL has no conflict counter in the CDCL sense; a budget is
-        honored as a cap on decisions, the closest analogue of bounded
-        search effort (portfolio racing relies on this to time-slice the
-        diversity baseline)."""
+    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         cnf = self._cnf.copy()
         for lit in assumptions:
             cnf.add_unit(lit)
-        result = DPLLSolver(cnf, max_decisions=conflict_budget).solve()
+        result = DPLLSolver(cnf).solve()
         self.stats = result.stats
         return result

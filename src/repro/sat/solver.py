@@ -53,9 +53,17 @@ _UNASSIGNED = 0
 _TRUE = 1
 _FALSE = -1
 
-#: Learned clauses with an LBD at or below this are "glue" clauses
-#: (Audemard & Simon) and survive every database reduction.
-_GLUE_LBD = 2
+#: VSIDS variable-activity and learned-clause-activity decay factors.
+_VAR_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
+#: Conflicts before the first restart; the geometric schedule multiplies
+#: the limit by ``_RESTART_FACTOR`` after each restart, the Luby schedule
+#: scales ``_RESTART_FIRST`` by the Luby sequence.
+_RESTART_FIRST = 100
+_RESTART_FACTOR = 1.5
+#: The learned-clause database is halved once it outgrows this multiple
+#: of the problem clauses (and at least 100 clauses).
+_LEARNED_LIMIT_FACTOR = 2.0
 
 
 def stat_counter(aggregate: str = "sum") -> int:
@@ -85,9 +93,8 @@ class SolverStats:
     learned_clauses: int = stat_counter()
     restarts: int = stat_counter()
     max_decision_level: int = stat_counter("max")
+    #: Learned clauses dropped by database reduction.
     deleted_clauses: int = stat_counter()
-    #: Learned clauses dropped by LBD-aware database reduction.
-    lbd_deletions: int = stat_counter()
     #: Problem clauses simplified away (or strengthened) at add time:
     #: tautologies, duplicate literals, clauses satisfied at root level,
     #: root-false literal stripping, and top-level unit propagation.
@@ -103,11 +110,6 @@ class SolverStats:
     #: Solve calls that kept at least one assumption level from the
     #: previous call instead of rewinding to level 0.
     assumption_prefix_reused: int = stat_counter()
-    #: Portfolio-mode counters (populated by
-    #: :class:`repro.sat.portfolio.PortfolioSolver`, zero otherwise):
-    #: races actually run, and conflicts spent by losing configurations.
-    portfolio_races: int = stat_counter()
-    portfolio_wasted_conflicts: int = stat_counter()
 
 
 def accumulate_stats(totals: dict[str, int], stats: "SolverStats") -> None:
@@ -123,14 +125,10 @@ def accumulate_stats(totals: dict[str, int], stats: "SolverStats") -> None:
 
 @dataclass
 class SolveResult:
-    """Outcome of a solve call.
+    """Outcome of a solve call: ``model`` maps every variable to a
+    boolean when satisfiable and is None when unsatisfiable."""
 
-    ``satisfiable`` is None when the solver hit ``conflict_budget``
-    (unknown); otherwise ``model`` maps every variable to a boolean when
-    satisfiable and is None when unsatisfiable.
-    """
-
-    satisfiable: bool | None
+    satisfiable: bool
     model: dict[int, bool] | None = None
     stats: SolverStats = field(default_factory=SolverStats)
 
@@ -141,17 +139,12 @@ class SolveResult:
 
 
 class _Clause:
-    __slots__ = ("literals", "learned", "activity", "lbd")
+    __slots__ = ("literals", "learned", "activity")
 
-    def __init__(self, literals: list[int], learned: bool = False, lbd: int = 0) -> None:
+    def __init__(self, literals: list[int], learned: bool = False) -> None:
         self.literals = literals
         self.learned = learned
         self.activity = 0.0
-        #: Literal Block Distance — number of distinct decision levels in
-        #: the clause at learning time (Audemard & Simon, "glucose").
-        #: Low-LBD clauses are empirically the most reusable; database
-        #: reduction keeps them preferentially.
-        self.lbd = lbd
 
 
 class CDCLSolver:
@@ -160,13 +153,7 @@ class CDCLSolver:
     def __init__(
         self,
         formula: CNF | None = None,
-        var_decay: float = 0.95,
-        clause_decay: float = 0.999,
-        restart_first: int = 100,
-        restart_factor: float = 1.5,
         restart_strategy: str = "geometric",
-        phase_saving: bool = True,
-        learned_limit_factor: float = 2.0,
         seed: int = 0,
         incremental: bool = True,
     ) -> None:
@@ -182,17 +169,11 @@ class CDCLSolver:
         self._trail_lim: list[int] = []
         self._activity: list[float] = [0.0]
         self._var_inc = 1.0
-        self._var_decay = var_decay
         self._cla_inc = 1.0
-        self._cla_decay = clause_decay
-        self._restart_first = restart_first
-        self._restart_factor = restart_factor
         if restart_strategy not in ("geometric", "luby"):
             raise ValueError(f"unknown restart strategy {restart_strategy!r}")
         self._restart_strategy = restart_strategy
-        self._phase_saving = phase_saving
         self._saved_phase: list[bool] = [False]  # 1-indexed by variable
-        self._learned_limit_factor = learned_limit_factor
         self._seed = seed
         self._incremental = incremental
         #: Assumption literals currently installed on the trail;
@@ -331,11 +312,11 @@ class CDCLSolver:
             self._clauses.append(clause)
             self._watch(clause)
             return
-        self._attach_clause(fixed, learned=False, lbd=0)
+        self._attach_clause(fixed)
 
-    def _attach_clause(self, lits: list[int], learned: bool, lbd: int) -> _Clause:
-        """Install a clause (>= 2 literals, none root-fixed) without
-        rewinding to level 0.
+    def _attach_clause(self, lits: list[int]) -> None:
+        """Install a problem clause (>= 2 literals, none root-fixed)
+        without rewinding to level 0.
 
         Watch soundness only needs both watched literals to be non-false
         at attach time.  A clause arriving fully falsified is handled by
@@ -353,8 +334,8 @@ class CDCLSolver:
             (lit for lit in lits if self._value(lit) == _FALSE),
             key=lambda lit: -self._level[abs(lit)],
         )
-        clause = _Clause(nonfalse + falses, learned=learned, lbd=lbd)
-        (self._learned if learned else self._clauses).append(clause)
+        clause = _Clause(nonfalse + falses)
+        self._clauses.append(clause)
         self._watch(clause)
         if len(nonfalse) == 1 and self._value(nonfalse[0]) == _UNASSIGNED:
             # Unit under the current assignment: assert it here with the
@@ -364,7 +345,6 @@ class CDCLSolver:
                 self._enqueue(nonfalse[0], clause)
             finally:
                 self.stats = saved_stats
-        return clause
 
     def _watch(self, clause: _Clause) -> None:
         for lit in clause.literals[:2]:
@@ -389,8 +369,7 @@ class CDCLSolver:
             return False
         var = abs(lit)
         self._assign[var] = _TRUE if lit > 0 else _FALSE
-        if self._phase_saving:
-            self._saved_phase[var] = lit > 0
+        self._saved_phase[var] = lit > 0
         self._level[var] = self._decision_level()
         self._reason[var] = reason
         self._trail.append(lit)
@@ -519,7 +498,7 @@ class CDCLSolver:
         heappush(self._order_heap, (-self._activity[var], var))
 
     def _decay_var_activity(self) -> None:
-        self._var_inc /= self._var_decay
+        self._var_inc /= _VAR_DECAY
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc
@@ -596,18 +575,12 @@ class CDCLSolver:
         learned[1], learned[max_i] = learned[max_i], learned[1]
         return learned, self._level[abs(learned[1])]
 
-    def _clause_lbd(self, literals: list[int]) -> int:
-        """Literal Block Distance of a freshly learned clause: the number
-        of distinct decision levels among its literals (computed before
-        backjumping unassigns the asserting literal's level)."""
-        return len({self._level[abs(lit)] for lit in literals})
-
-    def _record_learned(self, literals: list[int], lbd: int = 0) -> bool:
+    def _record_learned(self, literals: list[int]) -> bool:
         """Install a learned clause; False if the asserting literal clashes
         with an assumption (formula UNSAT under the assumptions)."""
         if len(literals) == 1:
             return self._enqueue(literals[0], None)
-        clause = _Clause(literals, learned=True, lbd=lbd)
+        clause = _Clause(literals, learned=True)
         self._learned.append(clause)
         self._watch(clause)
         self._bump_clause(clause)
@@ -615,24 +588,16 @@ class CDCLSolver:
         return self._enqueue(literals[0], clause)
 
     def _reduce_learned(self) -> None:
-        """Drop roughly half of the learned clauses, worst first.
-
-        Ranking is LBD-aware (glucose-style): clauses are ordered by
-        (high LBD, low activity) and the worst half is considered for
-        deletion; glue clauses (LBD <= 2), binary clauses, and clauses
-        currently locked as propagation reasons always survive.
-        """
-        self._learned.sort(key=lambda c: (-c.lbd, c.activity))
+        """Drop roughly half of the learned clauses, least active first;
+        binary clauses and clauses currently locked as propagation
+        reasons always survive."""
+        self._learned.sort(key=lambda c: c.activity)
         keep_from = len(self._learned) // 2
         dropped = self._learned[:keep_from]
         locked = {id(self._reason[abs(lit)]) for lit in self._trail if self._reason[abs(lit)] is not None}
         survivors = []
         for clause in dropped:
-            if (
-                id(clause) in locked
-                or len(clause.literals) <= 2
-                or clause.lbd <= _GLUE_LBD
-            ):
+            if id(clause) in locked or len(clause.literals) <= 2:
                 survivors.append(clause)
                 continue
             for lit in clause.literals[:2]:
@@ -640,7 +605,6 @@ class CDCLSolver:
                 if watchers is not None and clause in watchers:
                     watchers.remove(clause)
             self.stats.deleted_clauses += 1
-            self.stats.lbd_deletions += 1
         self._learned = survivors + self._learned[keep_from:]
 
     # -- decision heuristic ------------------------------------------------
@@ -677,11 +641,7 @@ class CDCLSolver:
 
     # -- main loop ----------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        conflict_budget: int | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         """Solve the current clause set, optionally under unit assumptions.
 
         Assumptions are enqueued as pseudo-decisions below all real
@@ -754,14 +714,14 @@ class CDCLSolver:
                 return SolveResult(satisfiable=False, stats=self.stats)
 
         restart_limit = (
-            self._restart_first * _luby(1)
+            _RESTART_FIRST * _luby(1)
             if self._restart_strategy == "luby"
-            else self._restart_first
+            else _RESTART_FIRST
         )
         restart_count = 0
         conflicts_since_restart = 0
         learned_limit = max(
-            int(self._learned_limit_factor * max(len(self._clauses), 1)), 100
+            int(_LEARNED_LIMIT_FACTOR * max(len(self._clauses), 1)), 100
         )
 
         while True:
@@ -775,27 +735,22 @@ class CDCLSolver:
                         self._root_conflict = True
                     return SolveResult(satisfiable=False, stats=self.stats)
                 learned, back_level = self._analyze(conflict)
-                lbd = self._clause_lbd(learned)
                 self._backtrack(max(back_level, num_assumptions))
-                if not self._record_learned(learned, lbd=lbd):
+                if not self._record_learned(learned):
                     self._backtrack(0)
                     if num_assumptions == 0:
                         self._root_conflict = True
                     return SolveResult(satisfiable=False, stats=self.stats)
                 self._decay_var_activity()
-                self._cla_inc /= self._cla_decay
-                if conflict_budget is not None and self.stats.conflicts >= conflict_budget:
-                    if not self._incremental:
-                        self._backtrack(0)
-                    return SolveResult(satisfiable=None, stats=self.stats)
+                self._cla_inc /= _CLAUSE_DECAY
                 if conflicts_since_restart >= restart_limit:
                     self.stats.restarts += 1
                     restart_count += 1
                     conflicts_since_restart = 0
                     if self._restart_strategy == "luby":
-                        restart_limit = self._restart_first * _luby(restart_count + 1)
+                        restart_limit = _RESTART_FIRST * _luby(restart_count + 1)
                     else:
-                        restart_limit = int(restart_limit * self._restart_factor)
+                        restart_limit = int(restart_limit * _RESTART_FACTOR)
                     self._backtrack(num_assumptions)
                 if len(self._learned) > learned_limit:
                     self._reduce_learned()
@@ -815,12 +770,9 @@ class CDCLSolver:
             self.stats.max_decision_level = max(
                 self.stats.max_decision_level, self._decision_level()
             )
-            # Phase heuristic: saved phase when enabled (re-explores the
-            # neighbourhood of the last assignment after restarts),
-            # otherwise False-first (works well on BMC encodings where
-            # most guard variables are off in any given path).
-            phase = self._saved_phase[var] if self._phase_saving else False
-            self._enqueue(var if phase else -var, None)
+            # Phase saving: re-explore the neighbourhood of the last
+            # assignment (after restarts and across incremental solves).
+            self._enqueue(var if self._saved_phase[var] else -var, None)
 
 
 def _luby(i: int) -> int:

@@ -157,16 +157,15 @@ class WebSSARI:
         #: Figure-6-faithful in-place sanitizer postconditions; see
         #: repro.ir.filter.ProgramFilter for the soundness caveat.
         self.sanitize_in_place = sanitize_in_place
-        #: SAT backend for the BMC engine: "cdcl" (the ZChaff stand-in),
-        #: "dpll" (the ablation baseline, markedly slower), or
-        #: "portfolio" (racing configurations for budget-blowing queries).
+        #: SAT backend for the BMC engine: "cdcl" (the ZChaff stand-in) or
+        #: "dpll" (the ablation baseline, markedly slower).
         self.solver = solver
         #: SAT-level query memo shared across every file this verifier
         #: checks (repro.sat.cache); None disables the layer.
         self.sat_cache = sat_cache
         #: CDCL restart schedule ("geometric" | "luby") and VSIDS/phase
-        #: seed, threaded into the solver (primary lane in portfolio
-        #: mode) and folded into the engine policy fingerprint.
+        #: seed, threaded into the solver and folded into the engine
+        #: policy fingerprint.
         self.restart_strategy = restart_strategy
         self.sat_seed = sat_seed
         #: Ablation switch for the incremental CDCL machinery (trail /

@@ -107,6 +107,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["explode"])
 
+    @pytest.mark.parametrize("command", ["verify", "audit", "watch"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--solver", "portfolio"],
+            ["--restart-strategy", "luby"],
+            ["--sat-seed", "7"],
+        ],
+        ids=["solver-portfolio", "restart-strategy", "sat-seed"],
+    )
+    def test_removed_solver_options_are_rejected(self, command, flag, tmp_path):
+        with pytest.raises(SystemExit) as exited:
+            main([command, str(tmp_path), *flag])
+        assert exited.value.code == 2
+
 
 class TestVerifyReplay:
     def test_traces_past_the_cap_are_reported_as_skipped(self, tmp_path, capsys):

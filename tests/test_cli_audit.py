@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.cli import _collect_entries, _collect_php_files, _tree_project, main
+from repro.cli import _collect_entries, _tree_project, main
 
 VULN = "<?php echo $_GET['q'];\n"
 SAFE = "<?php echo 'hello';\n"
@@ -27,6 +27,11 @@ def corpus(tmp_path):
 
 def audit(*argv):
     return main(["audit", *map(str, argv)])
+
+
+def _collect_php_files(paths):
+    """The PHP files of ``_collect_entries``, without their roots."""
+    return [path for path, _root in _collect_entries(paths)]
 
 
 class TestCollectPhpFiles:
@@ -435,6 +440,33 @@ class TestIncludeAwareAudit:
         assert [strip(r) for r in merged] == [
             strip(r) for r in sorted(whole, key=lambda r: r["filename"])
         ]
+
+
+class TestIncludeAwareVerify:
+    def test_summaries_equal_audit_records(self, fig10_audit, capsys):
+        _root, trees, records = fig10_audit
+        assert main(["verify", *map(str, trees)]) == 1
+        out = capsys.readouterr().out
+        assert out == "".join(f"{record['summary']}\n\n" for record in records)
+
+    def test_replay_runs_the_entry_with_its_includes(self, tmp_path, capsys):
+        project = write_tree(tmp_path / "project", {
+            "lib.php": "<?php $x = $_GET['q'];\n",
+            "page.php": "<?php include 'lib.php'; echo $x;\n",
+        })
+        assert main(["verify", str(project / "page.php"), "--replay", "on"]) == 1
+        out = capsys.readouterr().out
+        assert "  replay: 1 confirmed, 0 refuted, 0 unsupported\n" in out
+
+    def test_unparsable_include_is_the_entrys_frontend_error(self, tmp_path, capsys):
+        project = write_tree(tmp_path / "project", {
+            "broken.php": "<?php if (\n",
+            "page.php": "<?php include 'broken.php'; echo $_GET['q'];\n",
+        })
+        assert main(["verify", str(project / "page.php")]) == 2
+        err = capsys.readouterr().err
+        assert f"{project / 'page.php'}: frontend error: " in err
+        assert "broken.php" in err
 
 
 def write_tree(root, files):

@@ -398,6 +398,24 @@ class TestSolverStatsInOutcomes:
         for key in ("decisions", "propagations", "conflicts"):
             assert key in solver
 
+    def test_solver_section_is_backend_calls_and_solver_stats(self):
+        # The record schema ENGINE_VERSION keys: exactly the SolverStats
+        # counters, and ledger entries without per-configuration fields.
+        from dataclasses import fields
+
+        from repro.sat.solver import SolverStats
+
+        outcome = AuditEngine(config=EngineConfig(jobs=1)).run(
+            make_tasks([("v.php", VULN)])
+        ).outcomes[0]
+        assert set(outcome.solver) == {
+            "backend", "solve_calls", *(f.name for f in fields(SolverStats))
+        }
+        assert {key for query in outcome.slow_queries for key in query} == {
+            "seconds", "assert_id", "iteration", "decisions", "conflicts",
+            "satisfiable", "backend", "fingerprint", "file",
+        }
+
     def test_dpll_backend_same_verdicts_own_counters(self):
         tasks = make_tasks([("v.php", VULN), ("s.php", SAFE)])
         cdcl = AuditEngine(websari=WebSSARI(solver="cdcl"), config=EngineConfig(jobs=1)).run(tasks)

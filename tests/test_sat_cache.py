@@ -119,22 +119,6 @@ class TestCachingSatSolver:
         for var in range(2, 6):
             assert rb.model[var] is ra.model[var] is False
 
-    def test_budget_exhaustion_is_not_cached(self):
-        class Budgeted:
-            def add_formula(self, formula):
-                pass
-
-            def solve(self, assumptions=(), conflict_budget=None):
-                from repro.sat.solver import SolveResult, SolverStats
-
-                return SolveResult(satisfiable=None, stats=SolverStats())
-
-        cache = SatQueryCache()
-        s = CachingSatSolver(Budgeted(), cache)
-        s.add_formula(CNF([[1]], num_vars=1))
-        assert s.solve(conflict_budget=1).satisfiable is None
-        assert len(cache) == 0, "indeterminate outcomes must never be stored"
-
     def test_backends_never_alias(self):
         cache = SatQueryCache()
         c = caching(cache, backend="cdcl")

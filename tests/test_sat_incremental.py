@@ -1,17 +1,11 @@
-"""Tests for the incremental CDCL machinery and the portfolio racer.
+"""Tests for the incremental CDCL machinery.
 
 Coverage: assumption-prefix reuse across the enumeration, lazy
 dead-clause sweeps after gate retirement, seeded search determinism,
-the ``incremental=False`` ablation, and portfolio racing with
-first-winner-cancels semantics and wasted-conflict accounting.
+and the ``incremental=False`` ablation.
 """
 
-import itertools
-
-import pytest
-
 from repro.sat.cnf import CNF
-from repro.sat.portfolio import PortfolioConfig, PortfolioSolver, default_configs
 from repro.sat.solver import CDCLSolver
 
 
@@ -29,20 +23,6 @@ def pigeonhole(holes: int) -> CNF:
             for p2 in range(p1 + 1, pigeons):
                 cnf.add_clause((-var(p1, h), -var(p2, h)))
     return cnf
-
-
-def brute_force_satisfiable(cnf: CNF) -> bool:
-    variables = sorted(cnf.variables())
-    if cnf.has_empty_clause:
-        return False
-    for values in itertools.product([False, True], repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        if all(
-            any(assignment[abs(lit)] == (lit > 0) for lit in clause)
-            for clause in cnf.clauses
-        ):
-            return True
-    return not cnf.clauses
 
 
 class TestAssumptionPrefixReuse:
@@ -155,132 +135,3 @@ class TestSeedAndAblation:
                 inc.solve(assumptions=assumptions).satisfiable
                 == non.solve(assumptions=assumptions).satisfiable
             ), assumptions
-
-
-class TestPortfolioSolver:
-    def test_easy_query_never_races(self):
-        solver = PortfolioSolver()
-        solver.add_formula(CNF([(1, 2), (-1, 3)]))
-        result = solver.solve()
-        assert result.satisfiable is True
-        assert solver.last_raced is False
-        assert result.stats.portfolio_races == 0
-
-    def test_budget_blowout_triggers_race_and_names_winner(self):
-        solver = PortfolioSolver(primary_budget=2, slice_budget=8)
-        solver.add_formula(pigeonhole(6))
-        result = solver.solve()
-        assert result.satisfiable is False
-        assert solver.last_raced is True
-        assert solver.last_winner is not None
-        assert result.stats.portfolio_races == 1
-        assert result.stats.portfolio_wasted_conflicts >= 0
-
-    def test_race_is_deterministic(self):
-        outcomes = []
-        for _ in range(2):
-            solver = PortfolioSolver(primary_budget=2, slice_budget=8)
-            solver.add_formula(pigeonhole(6))
-            result = solver.solve()
-            outcomes.append(
-                (
-                    result.satisfiable,
-                    solver.last_winner,
-                    result.stats.portfolio_wasted_conflicts,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_caller_budget_still_bounds_the_solve(self):
-        solver = PortfolioSolver(primary_budget=4)
-        solver.add_formula(pigeonhole(7))
-        result = solver.solve(conflict_budget=3)
-        assert result.satisfiable is None
-        assert solver.last_winner is None
-
-    def test_blocking_enumeration_through_portfolio(self):
-        solver = PortfolioSolver()
-        solver.add_formula(CNF([(1, 2)]))
-        models = set()
-        while True:
-            result = solver.solve()
-            if not result.satisfiable:
-                break
-            model = (result.model[1], result.model[2])
-            models.add(model)
-            solver.add_clause([-v if result.model[v] else v for v in (1, 2)])
-        assert len(models) == 3
-
-    def test_custom_config_list(self):
-        configs = [
-            PortfolioConfig(name="only", restart_strategy="luby", seed=3),
-        ]
-        solver = PortfolioSolver(configs=configs, primary_budget=1, slice_budget=4)
-        solver.add_formula(pigeonhole(5))
-        result = solver.solve()
-        assert result.satisfiable is False
-        assert solver.last_winner == "only"
-
-    def test_default_configs_cover_four_lanes(self):
-        configs = default_configs("geometric", 0)
-        names = [c.name for c in configs]
-        assert names[0] == "cdcl-geometric"
-        assert "dpll" in names
-        assert len(names) == 4
-
-    def test_empty_config_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioSolver(configs=[])
-
-
-class TestCheckerPortfolioIntegration:
-    def _vulnerable_source(self) -> str:
-        return "<?php $a = $_GET['x']; echo $a;\n"
-
-    def test_winner_lands_in_ledger_and_totals(self):
-        from repro.websari.pipeline import WebSSARI
-
-        websari = WebSSARI(solver="portfolio")
-        report = websari.verify_source(self._vulnerable_source(), "v.php")
-        assert report.safe is False
-        # Even unraced queries attribute their (primary) configuration
-        # in the slow-query ledger.
-        assert report.bmc.slow_queries
-        assert all(
-            q.get("winner") == "cdcl-geometric" for q in report.bmc.slow_queries
-        )
-
-    def test_raced_query_attributes_winner(self, monkeypatch):
-        # Shrink the primary budget to zero so any query with a single
-        # conflict races, then check the attribution plumbing end to
-        # end: per-winner totals and the slow-query ledger's winner.
-        import repro.bmc.checker as checker_mod
-        from repro.websari.pipeline import WebSSARI
-
-        real = checker_mod.PortfolioSolver
-        monkeypatch.setattr(
-            checker_mod,
-            "PortfolioSolver",
-            lambda **kw: real(primary_budget=0, slice_budget=4, **kw),
-        )
-        source = (
-            "<?php $y = 'ok';\n"
-            + "".join(
-                f"if ($_GET['b{i}']) {{ $y = $y . $_GET['b{i}']; }}\n"
-                for i in range(6)
-            )
-            + "echo $y;\n"
-        )
-        websari = WebSSARI(solver="portfolio")
-        report = websari.verify_source(source, "race.php")
-        stats = report.bmc.solver_stats
-        assert stats.get("portfolio_races", 0) >= 1
-        wins = {k: v for k, v in stats.items() if k.startswith("portfolio_win_")}
-        assert wins, f"no per-winner totals in {stats}"
-        assert sum(wins.values()) == stats["portfolio_races"]
-        raced = [q for q in report.bmc.slow_queries if "winner" in q]
-        assert raced, "ledger must name the winning configuration"
-        assert all(
-            q["winner"].replace("-", "_") in {k[len("portfolio_win_"):] for k in wins}
-            for q in raced
-        )

@@ -136,10 +136,6 @@ class TestCDCLSpecific:
         solver = CDCLSolver(CNF([(1, 2)]))
         assert solver.solve(assumptions=[1, -1]).satisfiable is False
 
-    def test_conflict_budget_returns_unknown(self):
-        result = CDCLSolver(pigeonhole(6)).solve(conflict_budget=3)
-        assert result.satisfiable is None
-
     def test_add_clause_after_unsat_stays_unsat(self):
         solver = CDCLSolver(CNF([(1,), (-1,)]))
         assert solver.solve().satisfiable is False
@@ -159,13 +155,25 @@ class TestCDCLSpecific:
         assert set(result.model) == {1, 2, 3, 4}
 
     def test_learned_clause_reduction_does_not_break_soundness(self):
-        # Small learned_limit_factor forces clause database reductions.
-        solver = CDCLSolver(pigeonhole(5), learned_limit_factor=0.01)
-        assert solver.solve().satisfiable is False
+        # PHP(7, 6) learns more clauses than the default database limit,
+        # so the search halves the learned clauses at least once.
+        result = CDCLSolver(pigeonhole(6)).solve()
+        assert result.satisfiable is False
+        assert result.stats.deleted_clauses > 0
 
     def test_frequent_restarts_do_not_break_termination(self):
-        solver = CDCLSolver(pigeonhole(4), restart_first=1, restart_factor=1.0)
-        assert solver.solve().satisfiable is False
+        result = CDCLSolver(pigeonhole(6)).solve()
+        assert result.satisfiable is False
+        assert result.stats.restarts > 0
+
+    def test_restart_schedules_agree_on_the_verdict(self):
+        verdicts = {
+            strategy: CDCLSolver(pigeonhole(6), restart_strategy=strategy)
+            .solve()
+            .satisfiable
+            for strategy in ("geometric", "luby")
+        }
+        assert verdicts == {"geometric": False, "luby": False}
 
     def test_true_literals_helper(self):
         result = solve_cnf(CNF([(1,), (-2,)]))
@@ -180,25 +188,43 @@ class TestCDCLSpecific:
         ]
 
     def test_luby_restart_strategy_solves(self):
-        solver = CDCLSolver(pigeonhole(5), restart_strategy="luby", restart_first=2)
+        solver = CDCLSolver(pigeonhole(6), restart_strategy="luby")
         result = solver.solve()
         assert result.satisfiable is False
         assert result.stats.restarts > 0
+        assert result.stats.deleted_clauses > 0
+
+    def test_reduction_ranks_by_activity_and_keeps_binary_and_locked(self):
+        from repro.sat.solver import _Clause
+
+        solver = CDCLSolver(CNF([(1, 2, 3)]))
+        solver._ensure_var(9)
+        cold = _Clause([1, 2, 4], learned=True)
+        binary = _Clause([1, 5], learned=True)
+        locked = _Clause([6, 1, 2], learned=True)
+        warm = []
+        for activity, lits in ((5.0, [1, 7, 8]), (6.0, [2, 7, 9]), (7.0, [3, 8, 9])):
+            clause = _Clause(lits, learned=True)
+            clause.activity = activity
+            warm.append(clause)
+        solver._learned = [cold, binary, locked, *warm]
+        # ``locked`` is the reason of a trail assignment.
+        assert solver._enqueue(6, locked)
+        solver._reduce_learned()
+        # The less active half is cold, binary and locked; only cold goes.
+        assert set(map(id, solver._learned)) == set(map(id, [binary, locked, *warm]))
+        assert solver.stats.deleted_clauses == 1
 
     def test_unknown_restart_strategy_rejected(self):
         with pytest.raises(ValueError):
             CDCLSolver(CNF(), restart_strategy="random")
-
-    def test_phase_saving_off_still_correct(self):
-        solver = CDCLSolver(pigeonhole(4), phase_saving=False)
-        assert solver.solve().satisfiable is False
 
     def test_phase_saving_consistent_models(self):
         # With phase saving, re-solving after a no-op clause addition
         # tends to reproduce the same model (not required, but the model
         # must always satisfy the formula).
         cnf = CNF([(1, 2), (-1, 3), (2, -3)])
-        solver = CDCLSolver(cnf, phase_saving=True)
+        solver = CDCLSolver(cnf)
         first = solver.solve()
         assert cnf.evaluate(first.model)
         solver.add_clause((1, 2, 3))
@@ -207,10 +233,6 @@ class TestCDCLSpecific:
 
 
 class TestDPLLSpecific:
-    def test_budget_returns_unknown(self):
-        result = DPLLSolver(pigeonhole(5), max_decisions=2).solve()
-        assert result.satisfiable is None
-
     def test_pure_literal_elimination(self):
         # x2 appears only positively; solvable without branching on it.
         cnf = CNF([(1, 2), (-1, 2)])
