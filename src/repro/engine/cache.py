@@ -169,7 +169,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             try:

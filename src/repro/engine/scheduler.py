@@ -502,6 +502,12 @@ class AuditEngine:
     def _run_pool(self, pending, stats, progress, outcomes, keys) -> None:
         config = self.config
         ctx = self._mp_context()
+        if self.websari.replay and ctx.get_start_method() == "fork":
+            # Forked workers inherit the parent's modules: load the lazily
+            # imported replay stage once here, not in every worker of every
+            # run on its first vulnerable file.  Spawn workers inherit
+            # nothing and import it on first use.
+            import repro.replay  # noqa: F401
         workers: list[_Worker] = []
 
         def discard(worker: _Worker) -> None:

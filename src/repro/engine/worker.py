@@ -327,11 +327,13 @@ def _run_stages(
 
     replay_info: dict = {}
     if websari.replay and not report.safe:
-        from repro.replay import replay_for_task
-
         # The original sources come from the parse stage's memo; patched
         # sources stay task-local (see repro.replay.replayer._TaskParses).
+        # The import sits inside the stage so a worker that has to load
+        # the replay stage times that load as replay, not between stages.
         with stage("replay", timings):
+            from repro.replay import replay_for_task
+
             replay_info = replay_for_task(
                 task, report, parse_hook=websari.parse_cache.parse
             )

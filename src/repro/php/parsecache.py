@@ -235,7 +235,7 @@ class IncludeGraph:
             fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(snapshot, handle, sort_keys=True)
+                    handle.write(json.dumps(snapshot, sort_keys=True))
                 os.replace(tmp, self.path)
             except OSError:
                 try:

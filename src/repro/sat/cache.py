@@ -186,7 +186,7 @@ class SatQueryCache:
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(records, handle, separators=(",", ":"))
+                    handle.write(json.dumps(records, separators=(",", ":")))
                 os.replace(tmp, path)
             except OSError:
                 try:

@@ -76,6 +76,14 @@ class TestResultCache:
         path.write_text(json.dumps({"status": "ok", "record_version": -1}))
         assert cache.get(key) is None
 
+    def test_written_bytes_are_the_json_dumps_rendering(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache_key("src", "fp")
+        record = {"status": "ok", "warnings": ["caf\u00e9 <b>"], "timings": {"parse": 0.25}}
+        cache.put(key, record)
+        expected = json.dumps({**record, "record_version": 1}, sort_keys=True)
+        assert cache._path(key).read_bytes() == expected.encode()
+
     def test_fanout_layout(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key("src", "fp")

@@ -1,5 +1,6 @@
 """Tests for the in-memory parse cache and the persisted include graph."""
 
+import json
 import pickle
 
 import pytest
@@ -151,6 +152,21 @@ class TestIncludeGraph:
         assert reloaded.digest_of("a.php") == "abc"
         assert reloaded.includers_of(["lib.php"]) == {"a.php"}
         assert reloaded.edge_count == 2
+
+    def test_saved_bytes_are_the_json_dumps_rendering(self, tmp_path):
+        path = tmp_path / "graph.json"
+        graph = IncludeGraph(path)
+        graph.update_file("b.php", ["lib.php"], digest="abc")
+        graph.update_file("a.php", ["util.php", "lib.php"])
+        graph.save()
+        snapshot = {
+            "version": 1,
+            "files": {
+                "a.php": {"includes": ["lib.php", "util.php"]},
+                "b.php": {"includes": ["lib.php"], "digest": "abc"},
+            },
+        }
+        assert path.read_bytes() == json.dumps(snapshot, sort_keys=True).encode()
 
     def test_corrupt_snapshot_loads_empty(self, tmp_path):
         path = tmp_path / "graph.json"

@@ -31,6 +31,13 @@ class TestSatQueryCache:
         assert cache.get("k1") == {"sat": True, "true": [1, 3]}
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_saved_pack_bytes_are_the_json_dumps_rendering(self, tmp_path):
+        cache = SatQueryCache(persist_dir=tmp_path)
+        records = {"k2": {"sat": True, "true": [1, 3]}, "k1": {"sat": False, "true": []}}
+        cache.save_pack("k2", records)
+        (path,) = pack_files(tmp_path)
+        assert path.read_bytes() == json.dumps(records, separators=(",", ":")).encode()
+
     def test_lru_evicts_oldest(self):
         cache = SatQueryCache(max_entries=2)
         for key in ("a", "b", "c"):
