@@ -738,7 +738,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         render_dashboard,
         render_diff,
         render_report,
-        replay_disagreements,
         summarize_run,
     )
 
@@ -760,15 +759,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(render_diff(old, new, diff))
             return 1 if diff.has_regressions else 0
         run = load_audit(args.path)
+        summary = summarize_run(run, top=args.top)
         if args.html is not None:
             args.html.write_text(render_dashboard(run, top=args.top))
         if args.json:
-            print(json.dumps(summarize_run(run, top=args.top), indent=2, sort_keys=True))
+            print(json.dumps(summary, indent=2, sort_keys=True))
         else:
             print(render_report(run, top=args.top))
         if args.html is not None:
             print(f"report: wrote dashboard to {args.html}", file=sys.stderr)
-        if replay_disagreements(run.files):
+        if summary["replay_disagreements"]:
             # A vulnerable verdict whose concrete replays were refuted is
             # the one state that demands human eyes: either the abstraction
             # over-approximated or the replayer under-approximated.

@@ -193,22 +193,17 @@ class WatchLoop:
             self.include_graph.save()
 
         self.cycles += 1
-        # The engine writes into a fresh per-cycle registry that is folded
-        # into the long-lived daemon registry afterwards through
-        # snapshot/merge.  Watch-level counters/gauges below still hit
-        # self.metrics directly (live).
-        cycle_metrics = MetricsRegistry() if self.metrics is not None else None
+        # The engine observes each file into the long-lived registry as it
+        # finishes, so a scrape mid-cycle sees the cycle's progress.
         config = EngineConfig(
             jobs=self.jobs,
             timeout=self.timeout,
             start_method=self.start_method,
             cache=self.cache,
-            metrics=cycle_metrics,
+            metrics=self.metrics,
             drain_event=self.stop_event,
         )
         result = AuditEngine(websari=self.websari, config=config).run(tasks)
-        if self.metrics is not None and cycle_metrics is not None:
-            self.metrics.merge_snapshot(cycle_metrics.snapshot())
         skipped = [o for o in result.outcomes if o.status == "skipped"]
         interrupted = bool(skipped) or self.stop_event.is_set()
         for outcome in result.outcomes:
@@ -261,7 +256,9 @@ class WatchLoop:
         """One merged JSONL per cycle: fresh records for dirty files plus
         carried-over records for everything unchanged, then the engine
         trailer — the same shape ``repro audit --jsonl`` writes, so
-        ``repro report`` (and ``--diff``) consume cycles directly."""
+        ``repro report`` (and ``--diff``) consume cycles directly.  The
+        trailer counts this cycle's files only; carried-over records
+        keep the telemetry of the cycle that produced them."""
         if self.out_dir is None:
             return None
         path = self.out_dir / f"cycle-{self.cycles:06d}.jsonl"

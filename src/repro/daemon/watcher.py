@@ -140,7 +140,7 @@ class TreeWatcher:
 
     # -- snapshotting -------------------------------------------------------
 
-    def snapshot(self) -> dict[str, FileStamp]:
+    def stat_tree(self) -> dict[str, FileStamp]:
         """Stat every matching file under the root right now."""
         stamps: dict[str, FileStamp] = {}
         visited: set[tuple[int, int]] = set()
@@ -187,7 +187,7 @@ class TreeWatcher:
 
     def poll(self) -> TreeDelta:
         """Snapshot, debounce, diff against (and replace) the baseline."""
-        current = self.snapshot()
+        current = self.stat_tree()
         if self.debounce > 0:
             cutoff_ns = int((self._clock() - self.debounce) * 1e9)
             committed: dict[str, FileStamp] = {}

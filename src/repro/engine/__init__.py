@@ -11,8 +11,9 @@ first-class engineered operation instead of a for-loop:
 * :class:`ResultCache` stores verdicts content-addressed by SHA-256 of
   source + policy fingerprint + engine version, so re-auditing an
   unchanged corpus is pure cache lookups.
-* :class:`EngineStats` aggregates per-stage timings (parse / filter /
-  AI / SAT), cache hit/miss counters and verdict tallies;
+* :class:`EngineStats` folds outcomes into run totals — per-stage
+  timings, cache hit/miss counters, verdict tallies — by the same rule
+  ``repro report`` applies to the records;
   :class:`JsonlSink` streams per-file records for machine consumption.
 
 Entry points: the ``repro audit`` CLI subcommand, or::

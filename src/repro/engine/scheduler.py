@@ -59,7 +59,9 @@ from repro.engine.worker import (
     safe_execute,
 )
 from repro.obs import MetricsRegistry, Span, Tracer, span_from_dict
+from repro.obs.report import verdict_of
 from repro.php.parsecache import content_digest
+from repro.sat.solver import MAX_STATS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.websari.pipeline import WebSSARI
@@ -158,11 +160,11 @@ class EngineResult:
 
     @property
     def any_vulnerable(self) -> bool:
-        return any(o.status == "ok" and not o.safe for o in self.outcomes)
+        return self.stats.vulnerable > 0
 
     @property
     def any_failed(self) -> bool:
-        return any(o.status != "ok" for o in self.outcomes)
+        return self.stats.failed > 0
 
 
 @dataclass
@@ -330,10 +332,9 @@ class AuditEngine:
         metrics.counter("repro_files_total", "audited files by outcome status").inc(
             status=outcome.status
         )
-        if outcome.status == "ok":
-            metrics.counter("repro_verdicts_total", "verdicts by kind").inc(
-                verdict="safe" if outcome.safe else "vulnerable"
-            )
+        verdict = verdict_of(vars(outcome))
+        if verdict in ("safe", "vulnerable"):
+            metrics.counter("repro_verdicts_total", "verdicts by kind").inc(verdict=verdict)
             if outcome.num_ai_assertions:
                 metrics.counter(
                     "repro_assertions_total", "AI assertions checked by the BMC stage"
@@ -374,7 +375,8 @@ class AuditEngine:
         )
         backend = str(outcome.solver.get("backend", "unknown")) if outcome.solver else "unknown"
         for name, value in (outcome.solver or {}).items():
-            if name == "backend" or not isinstance(value, int):
+            # A per-file maximum is not an event count: it has no _total.
+            if name == "backend" or name in MAX_STATS or not isinstance(value, int):
                 continue
             solver_counter.inc(value, kind=name, backend=backend)
         includes = getattr(outcome, "includes", None) or {}

@@ -175,7 +175,7 @@ def _leading_number(text: str) -> int | float:
             best += ch
         else:
             break
-    if not best or best in ("-", "."):
+    if not any(ch in "0123456789" for ch in best):  # "", "-", ".", "-."
         return 0
     if seen_dot or seen_e:
         return float(best)

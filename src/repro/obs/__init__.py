@@ -15,7 +15,8 @@ disabled:
 * :mod:`repro.obs.export` — Chrome trace-event JSON export (loadable in
   Perfetto or ``chrome://tracing``).
 * :mod:`repro.obs.report` — consumers for ``repro audit`` JSONL streams:
-  run summaries (text and JSON) and new/fixed/regressed diffs.
+  the one fold of file records into run totals, run summaries (text
+  and JSON) and new/fixed/regressed diffs.
 * :mod:`repro.obs.ledger` — bounded top-K ledger of the hardest SAT
   queries, carried in each file record's ``slow_queries``.
 * :mod:`repro.obs.html` — self-contained HTML audit dashboard

@@ -22,10 +22,9 @@ stream.
 from __future__ import annotations
 
 import html as _html
-from bisect import bisect_left
 
 from repro.obs.metrics import DEFAULT_BUCKETS
-from repro.obs.report import AuditRun, replay_disagreements, stage_quantiles
+from repro.obs.report import AuditRun, stage_order, summarize_run, verdict_of
 
 __all__ = ["render_dashboard"]
 
@@ -72,12 +71,6 @@ def _esc(value) -> str:
     return _html.escape(str(value))
 
 
-def _verdict_of(record: dict) -> str:
-    if record.get("status") == "ok":
-        return "safe" if record.get("safe") else "vulnerable"
-    return str(record.get("status", "?"))
-
-
 def _badge(verdict: str) -> str:
     css = {"safe": "v-safe", "vulnerable": "v-vulnerable"}.get(verdict, "v-failed")
     return f"<span class='badge {css}'>{_esc(verdict)}</span>"
@@ -93,7 +86,7 @@ def _replay_cell(record: dict) -> str:
         replay.get("unsupported") or 0
     )
     text = f"{confirmed}/{total}"
-    if int(replay.get("refuted") or 0) and record.get("safe") is False:
+    if int(replay.get("refuted") or 0) and verdict_of(record) == "vulnerable":
         return f"<span class='badge v-vulnerable'>{_esc(text)}</span>"
     return _esc(text)
 
@@ -104,11 +97,8 @@ def _fmt_seconds(value) -> str:
     return "—"
 
 
-def _bucket_rows(values: list[float]) -> list[tuple[str, int]]:
-    """Non-cumulative per-bucket counts over the shared metric buckets."""
-    counts = [0] * (len(DEFAULT_BUCKETS) + 1)
-    for value in values:
-        counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
+def _bucket_rows(counts: list[int]) -> list[tuple[str, int]]:
+    """Label per-bucket counts over the shared metric buckets."""
     labels = []
     previous = 0.0
     for bound in DEFAULT_BUCKETS:
@@ -139,47 +129,35 @@ def _bar_chart(rows: list[tuple[str, int]]) -> list[str]:
 
 def render_dashboard(run: AuditRun, top: int = 10) -> str:
     """Render one audit run as a standalone HTML dashboard page."""
-    records = run.files
+    summary = summarize_run(run, top)
     by_name = run.by_filename()
-    stats = run.stats or {}
-    safe = sum(1 for r in by_name.values() if _verdict_of(r) == "safe")
-    vulnerable = sum(1 for r in by_name.values() if _verdict_of(r) == "vulnerable")
-    failed = len(by_name) - safe - vulnerable
-    wall = stats.get("wall_seconds")
-    cached = sum(1 for r in records if r.get("cached"))
+    tally = summary["verdicts"]
+    wall = summary["wall_seconds"]
 
     out: list[str] = []
     out.append("<!DOCTYPE html><html><head><meta charset='utf-8'>")
     out.append(f"<title>repro audit dashboard — {_esc(run.path)}</title>")
     out.append(f"<style>{_STYLE}</style></head><body>")
     out.append(f"<h1>repro audit dashboard — {_esc(run.path)}</h1>")
-    if run.truncated:
+    if summary["truncated"]:
         out.append(
             "<div class='warn'>stream has no stats trailer "
             "(truncated or interrupted run)</div>"
         )
-    if stats.get("interrupted"):
+    if summary["interrupted"]:
         out.append("<div class='warn'>run was interrupted before completion</div>")
 
     # -- hero tiles --------------------------------------------------------
     tiles = [
-        (str(len(by_name)), "files"),
-        (str(safe), "safe"),
-        (str(vulnerable), "vulnerable"),
-        (str(failed), "failed"),
+        (str(summary["files_audited"]), "files"),
+        (str(tally["safe"]), "safe"),
+        (str(tally["vulnerable"]), "vulnerable"),
+        (str(tally["failed"]), "failed"),
         (f"{wall:.2f}s" if isinstance(wall, (int, float)) else "—", "wall time"),
-        (str(cached), "cache hits"),
+        (str(tally["cached"]), "cache hits"),
     ]
-    replay_confirmed = sum(
-        int((r.get("replay") or {}).get("confirmed") or 0)
-        for r in by_name.values()
-        if isinstance(r.get("replay"), dict)
-    )
-    has_replay = any(
-        isinstance(r.get("replay"), dict) and r["replay"] for r in by_name.values()
-    )
-    if has_replay:
-        tiles.append((str(replay_confirmed), "confirmed"))
+    if summary["replay"]:
+        tiles.append((str(summary["replay"].get("confirmed", 0)), "confirmed"))
     out.append("<section class='tiles'>")
     for number, caption in tiles:
         out.append(
@@ -202,7 +180,7 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
         out.append(
             "<tr>"
             f"<td><a href='#{anchor}'>{_esc(filename)}</a></td>"
-            f"<td>{_badge(_verdict_of(record))}</td>"
+            f"<td>{_badge(verdict_of(record))}</td>"
             f"<td class='num'>{_replay_cell(record)}</td>"
             f"<td class='num'>{_fmt_seconds(record.get('duration'))}</td>"
             f"<td class='num'>{record.get('num_ai_assertions', 0)}</td>"
@@ -210,7 +188,7 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
             "</tr>"
         )
     out.append("</table>")
-    disagreements = replay_disagreements(records)
+    disagreements = summary["replay_disagreements"]
     if disagreements:
         out.append(
             "<div class='warn' id='replay-disagreements'>"
@@ -227,14 +205,14 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
         anchor = f"file-{index}"
         out.append(f"<details class='file' id='{anchor}'>")
         out.append(
-            f"<summary>{_esc(filename)} {_badge(_verdict_of(record))} "
+            f"<summary>{_esc(filename)} {_badge(verdict_of(record))} "
             f"{_fmt_seconds(record.get('duration'))}</summary>"
         )
         timings = record.get("timings") or {}
         if timings:
             parts = " · ".join(
-                f"{_esc(stage)} {_fmt_seconds(seconds)}"
-                for stage, seconds in sorted(timings.items())
+                f"{_esc(stage)} {_fmt_seconds(timings[stage])}"
+                for stage in stage_order(timings)
             )
             out.append(f"<div>stages: {parts}</div>")
         solver = record.get("solver") or {}
@@ -281,14 +259,7 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
 
     # -- stage latency -----------------------------------------------------
     out.append("<section id='stage-latency'><h2>Stage latency</h2>")
-    quantiles = stage_quantiles(records)
-    per_stage: dict[str, list[float]] = {}
-    for record in records:
-        if record.get("cached"):
-            continue
-        for stage, seconds in (record.get("timings") or {}).items():
-            if isinstance(seconds, (int, float)) and not isinstance(seconds, bool):
-                per_stage.setdefault(str(stage), []).append(float(seconds))
+    quantiles = summary["stage_quantiles"]
     if not quantiles:
         out.append("<p>no stage timings in this stream (fully cached run?)</p>")
     for stage, latency in quantiles.items():
@@ -300,11 +271,11 @@ def render_dashboard(run: AuditRun, top: int = 10) -> str:
             f"p99 {_fmt_seconds(latency['p99'])} · "
             f"n={latency['count']} (bucket-interpolated)</div>"
         )
-        out.extend(_bar_chart(_bucket_rows(per_stage.get(stage, []))))
+        out.extend(_bar_chart(_bucket_rows(latency["buckets"])))
     out.append("</section>")
 
     # -- slow queries ------------------------------------------------------
-    slow = run.slow_queries(top=max(0, top))
+    slow = summary["slow_queries"]
     out.append("<h2>Slow SAT queries</h2>")
     if slow:
         out.append("<table class='data' id='slow-queries'>")

@@ -14,11 +14,6 @@ Prometheus text exposition format (``# HELP``/``# TYPE`` headers,
 ``name{label="value"} 1.0`` samples, cumulative histogram buckets with a
 ``+Inf`` bucket plus ``_sum``/``_count`` series).  All operations are
 thread-safe behind one registry lock.
-
-Snapshots: ``MetricsRegistry.snapshot()`` serialises the whole registry
-into a JSON-able dict and ``merge_snapshot()`` adds one into another
-registry (the watch daemon folds each cycle's registry into its
-long-lived one this way), strict about histogram bucket boundaries.
 """
 
 from __future__ import annotations
@@ -169,18 +164,6 @@ class _Metric:
             lines.append(f"{self.name}{_render_labels(key)} {_format_value(values[key])}")
         return lines
 
-    def _snapshot_samples(self) -> list:
-        with self._lock:
-            return [[list(map(list, key)), value] for key, value in self._values.items()]
-
-    def _merge_sample(self, key: LabelKey, value: float, *, additive: bool) -> None:
-        with self._lock:
-            if additive:
-                self._values[key] = self._values.get(key, 0.0) + value
-            else:
-                self._values[key] = float(value)
-
-
 class Counter(_Metric):
     """Monotonically increasing value per label set."""
 
@@ -268,23 +251,6 @@ class Histogram:
                 for key, (counts, total, count) in self._series.items()
             }
 
-    def _merge_series(
-        self, key: LabelKey, counts: list, total: float, count: int
-    ) -> None:
-        if len(counts) != len(self.buckets):
-            raise ValueError(
-                f"histogram {self.name!r}: bucket count mismatch "
-                f"({len(counts)} vs {len(self.buckets)})"
-            )
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = [[0] * len(self.buckets), 0.0, 0]
-            for i, delta in enumerate(counts):
-                series[0][i] += delta
-            series[1] += total
-            series[2] += count
-
     def _samples(self) -> list[str]:
         series_snapshot = self._snapshot_series()
         lines = []
@@ -315,10 +281,6 @@ class Histogram:
                     f"{_format_value(estimate)}"
                 )
         return lines
-
-
-def _key_from_snapshot(raw) -> LabelKey:
-    return _label_key({str(name): str(value) for name, value in raw})
 
 
 class MetricsRegistry:
@@ -354,73 +316,6 @@ class MetricsRegistry:
         return self._get_or_create(
             name, lambda: Histogram(name, help_text, self._lock, buckets), "histogram"
         )
-
-    def snapshot(self) -> dict:
-        """JSON-able cumulative snapshot of every metric in the registry.
-
-        The result survives a JSON round-trip unchanged (tuples become
-        lists either way) and is the wire format workers piggyback on
-        heartbeat/lease/release requests.
-        """
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        entries = []
-        for name, metric in metrics:
-            entry = {"name": name, "kind": metric.kind, "help": metric.help}  # type: ignore[attr-defined]
-            if metric.kind == "histogram":
-                entry["buckets"] = list(metric.buckets)  # type: ignore[attr-defined]
-                entry["series"] = [
-                    [list(map(list, key)), counts, total, count]
-                    for key, (counts, total, count) in metric._snapshot_series().items()  # type: ignore[attr-defined]
-                ]
-            else:
-                entry["samples"] = metric._snapshot_samples()  # type: ignore[attr-defined]
-            entries.append(entry)
-        return {"version": 1, "metrics": entries}
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Add a snapshot into this registry.
-
-        Counter and histogram samples merge additively (so feeding deltas
-        accumulates and feeding disjoint registries unions them); gauges
-        are set to the snapshot value.  Raises ``ValueError`` when a
-        histogram arrives with bucket boundaries that differ from an
-        already-registered histogram of the same name.
-        """
-        for entry in snapshot.get("metrics", []):
-            kind = entry.get("kind")
-            name = entry.get("name")
-            if not name:
-                continue
-            help_text = entry.get("help", "")
-            if kind == "counter":
-                metric = self.counter(name, help_text)
-                for raw_key, value in entry.get("samples", []):
-                    if value:
-                        metric._merge_sample(
-                            _key_from_snapshot(raw_key), float(value), additive=True
-                        )
-            elif kind == "gauge":
-                metric = self.gauge(name, help_text)
-                for raw_key, value in entry.get("samples", []):
-                    metric._merge_sample(
-                        _key_from_snapshot(raw_key), float(value), additive=False
-                    )
-            elif kind == "histogram":
-                buckets = tuple(entry.get("buckets", ()))
-                histogram = self.histogram(name, help_text, buckets=buckets or DEFAULT_BUCKETS)
-                if buckets and histogram.buckets != tuple(sorted(buckets)):
-                    raise ValueError(
-                        f"histogram {name!r}: incompatible bucket boundaries "
-                        f"{tuple(sorted(buckets))} vs registered {histogram.buckets}"
-                    )
-                for raw_key, counts, total, count in entry.get("series", []):
-                    histogram._merge_series(
-                        _key_from_snapshot(raw_key),
-                        list(counts),
-                        float(total),
-                        int(count),
-                    )
 
     def render(self, quantiles: tuple[float, ...] = ()) -> str:
         """Prometheus text exposition snapshot of every registered metric.

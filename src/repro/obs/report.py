@@ -1,15 +1,15 @@
-"""Audit JSONL consumers: human-readable run summaries and run diffs.
+"""Audit JSONL consumers: run totals, run summaries and run diffs.
 
 ``repro audit --jsonl`` streams one ``{"type": "file", ...}`` record per
 file plus a final ``{"type": "stats", ...}`` trailer (see
-``repro.engine.jsonl``).  This module turns those streams into:
+``repro.engine.jsonl``).  This module turns records into:
 
-* :func:`render_report` — verdict/cache tallies, per-file duration
-  mean/max, per-stage totals and bucket-interpolated p50/p90/p99
-  latency, the slow-query table, and the top-N slowest files
-  of one run;
-* :func:`summarize_run` — the same summary as a machine-readable dict
-  (``repro report --json``);
+* :class:`RunTotals` — the one fold of file records into run totals
+  (verdict tally, cache hits, stage seconds and latency buckets, solver,
+  include and replay counters, slow queries).  The engine's trailer and
+  closing lines, ``repro report`` and the HTML dashboard all read it;
+* :func:`summarize_run` — one stream's summary as a machine-readable
+  dict (``repro report --json``), which :func:`render_report` prints;
 * :func:`diff_runs` / :func:`render_diff` — new / fixed / regressed
   classification between two runs of the same corpus (the CI story:
   fail the build when a change introduces vulnerabilities).
@@ -20,30 +20,224 @@ All are exposed through the ``repro report`` subcommand.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from repro.obs.ledger import SlowQueryLedger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, estimate_quantile
+from repro.sat.solver import accumulate_stats
 
 __all__ = [
     "AuditRun",
     "AuditDiff",
     "ReportError",
+    "RunTotals",
+    "STAGES",
     "load_audit",
     "render_report",
+    "render_totals",
     "summarize_run",
+    "stage_order",
     "stage_quantiles",
     "replay_disagreements",
+    "verdict_of",
     "diff_runs",
     "render_diff",
 ]
 
-#: Pipeline stage order for latency sections (extra stages sort after).
-_STAGE_ORDER = ("parse", "filter", "ai", "sat", "replay")
+#: Pipeline stages in the order every run view lists them.
+STAGES = ("parse", "filter", "ai", "sat", "replay")
 
 #: Quantiles surfaced in report latency breakdowns.
 _REPORT_QUANTILES = (0.5, 0.9, 0.99)
+
+
+def stage_order(stages: Iterable[str]) -> list[str]:
+    """``stages`` in pipeline order; unknown stages follow, alphabetically."""
+    return sorted(
+        stages, key=lambda stage: (STAGES.index(stage) if stage in STAGES else len(STAGES), stage)
+    )
+
+
+def verdict_of(record: Mapping) -> str:
+    """``safe`` or ``vulnerable`` for an analysed file, else its status
+    (a file without a verdict counts as failed)."""
+    status = str(record.get("status", "?"))
+    if status != "ok":
+        return status
+    return "safe" if record.get("safe") is True else "vulnerable"
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _add_numbers(totals: dict, section) -> None:
+    if isinstance(section, dict):
+        for name, value in section.items():
+            if _is_number(value):
+                totals[name] = totals.get(name, 0) + value
+
+
+@dataclass
+class RunTotals:
+    """Run totals folded from file records by one rule.
+
+    Every record counts toward the verdict tally, cache hits and replay
+    totals: a cached verdict, and its replay, is still this run's
+    answer.  Only a record whose stages ran in this run (``cached``
+    false) adds stage seconds, solver and include counters and slow
+    queries.  Solver counters fold by their ``SolverStats`` rule (sum,
+    or max for ``max_decision_level``).  Stage seconds are rounded to
+    the record's 6 places before they add up, so a fold over live
+    outcomes and a fold over the JSONL records they became agree.
+    """
+
+    files: int = 0
+    cache_hits: int = 0
+    #: ``safe``, ``vulnerable``, and one count per failure status.
+    verdicts: dict[str, int] = field(default_factory=dict)
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+    #: Per-stage counts over :data:`DEFAULT_BUCKETS` (plus an overflow
+    #: bucket), the same buckets the ``/metrics`` histograms use.
+    stage_buckets: dict[str, list[int]] = field(default_factory=dict)
+    solver: dict[str, int] = field(default_factory=dict)
+    includes: dict[str, int] = field(default_factory=dict)
+    replay: dict[str, int] = field(default_factory=dict)
+    slow_queries: SlowQueryLedger = field(default_factory=SlowQueryLedger)
+
+    @classmethod
+    def of(cls, records: Iterable[Mapping]) -> "RunTotals":
+        totals = cls()
+        for record in records:
+            totals.add(record)
+        return totals
+
+    def add(self, record: Mapping) -> None:
+        """Fold one file record (or a ``FileOutcome``'s fields) in."""
+        self.files += 1
+        verdict = verdict_of(record)
+        self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
+        _add_numbers(self.replay, record.get("replay"))
+        if record.get("cached"):
+            self.cache_hits += 1
+            return
+        for stage, seconds in (record.get("timings") or {}).items():
+            if _is_number(seconds):
+                seconds = round(float(seconds), 6)
+                self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+                buckets = self.stage_buckets.setdefault(stage, [0] * (len(DEFAULT_BUCKETS) + 1))
+                buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
+        if isinstance(record.get("solver"), dict):
+            accumulate_stats(self.solver, record["solver"])
+        _add_numbers(self.includes, record.get("includes"))
+        self.slow_queries.merge(record.get("slow_queries"))
+
+    def failures(self) -> dict[str, int]:
+        """Files without a verdict, by status."""
+        return {
+            status: count
+            for status, count in sorted(self.verdicts.items())
+            if status not in ("safe", "vulnerable")
+        }
+
+    def tally(self) -> dict[str, int]:
+        return {
+            "safe": self.verdicts.get("safe", 0),
+            "vulnerable": self.verdicts.get("vulnerable", 0),
+            "failed": sum(self.failures().values()),
+            "cached": self.cache_hits,
+        }
+
+    def sections(self) -> dict[str, dict]:
+        """The stage/solver/include/replay sections, as the trailer and
+        ``repro report --json`` carry them."""
+        return {
+            "stage_seconds": {
+                stage: round(seconds, 6) for stage, seconds in sorted(self.stage_seconds.items())
+            },
+            "solver": dict(sorted(self.solver.items())),
+            "includes": dict(sorted(self.includes.items())),
+            "replay": dict(sorted(self.replay.items())),
+        }
+
+    def quantiles(self) -> dict[str, dict]:
+        """Per-stage bucket-interpolated latency quantiles, in stage order.
+
+        The estimator is the one behind the ``/metrics`` ``_quantile``
+        gauges, so a report and a scrape of the same run agree (both are
+        estimates bounded by the bucket layout, not order statistics).
+        """
+        out: dict[str, dict] = {}
+        for stage in stage_order(self.stage_buckets):
+            buckets = self.stage_buckets[stage]
+            count = sum(buckets)
+            cumulative = list(accumulate(buckets[:-1]))
+            out[stage] = {
+                "count": count,
+                **{
+                    f"p{int(q * 100)}": estimate_quantile(DEFAULT_BUCKETS, cumulative, count, q)
+                    for q in _REPORT_QUANTILES
+                },
+                "buckets": list(buckets),
+            }
+        return out
+
+
+def render_totals(sections: Mapping) -> list[str]:
+    """The stage/solver/include/replay lines ``repro audit`` and
+    ``repro report`` both print, from :meth:`RunTotals.sections`."""
+    lines = []
+    stage_seconds = sections.get("stage_seconds") or {}
+    if stage_seconds:
+        lines.append(
+            "stage time: "
+            + ", ".join(
+                f"{stage} {stage_seconds[stage]:.2f}s" for stage in stage_order(stage_seconds)
+            )
+        )
+    solver = sections.get("solver") or {}
+    parts = [
+        f"{int(solver[name])} {name.replace('_', ' ')}"
+        for name in (
+            "solve_calls", "decisions", "propagations", "conflicts", "learned_clauses",
+            "restarts", "preprocessed_clauses", "cache_hits", "cache_misses",
+        )
+        if name in solver
+    ]
+    if parts:
+        lines.append("solver: " + ", ".join(parts))
+    reclaimed = int(solver.get("root_satisfied_deleted", 0))
+    if reclaimed:
+        lines.append(f"incremental: {reclaimed} dead clause(s) reclaimed")
+    includes = sections.get("includes") or {}
+    if includes:
+        parts = [
+            f"{int(includes.get('edges', 0))} edge(s)",
+            f"{int(includes.get('included_files', 0))} spliced",
+            f"{int(includes.get('unresolved', 0))} unresolved dynamic",
+        ]
+        hits = int(includes.get("parse_cache_hits", 0))
+        misses = int(includes.get("parse_cache_misses", 0))
+        if hits or misses:
+            parts.append(f"parse cache {hits} hit(s) / {misses} miss(es)")
+        lines.append("includes: " + ", ".join(parts))
+    replay = sections.get("replay") or {}
+    if replay:
+        lines.append(
+            f"replay: {int(replay.get('confirmed', 0))} confirmed, "
+            f"{int(replay.get('refuted', 0))} refuted, "
+            f"{int(replay.get('unsupported', 0))} unsupported"
+            + (f", {int(replay['skipped'])} skipped" if replay.get("skipped") else "")
+        )
+        killed = int(replay.get("patched_refuted", 0))
+        survived = int(replay.get("patched_confirmed", 0))
+        if killed or survived:
+            lines.append(f"patched replay: {killed} killed, {survived} survived")
+    return lines
 
 
 class ReportError(Exception):
@@ -70,27 +264,17 @@ class AuditRun:
 
         Sources, in preference order (never mixed, so nothing double
         counts): the stats trailer's ledger and — for truncated streams
-        with no trailer at all — the per-file ``slow_queries`` record
-        fields.  An empty-ledger trailer is a valid (empty) answer, not a
-        fallback trigger.
+        with no trailer at all — the records' fold.  An empty-ledger
+        trailer is a valid (empty) answer, not a fallback trigger.
         """
-        ledger = SlowQueryLedger(capacity=max(top or 0, 64))
-        if isinstance((self.stats or {}).get("slow_queries"), list):
-            ledger.merge(self.stats["slow_queries"])
+        trailer = (self.stats or {}).get("slow_queries")
+        if isinstance(trailer, list):
+            ledger = SlowQueryLedger(capacity=max(len(trailer), 1))
+            ledger.merge(trailer)
         else:
-            for record in self.files:
-                if not record.get("cached"):
-                    ledger.merge(record.get("slow_queries") or [])
+            ledger = RunTotals.of(self.by_filename().values()).slow_queries
         records = ledger.records()
         return records[:top] if top is not None else records
-
-
-def _is_vulnerable(record: dict) -> bool:
-    return record.get("status") == "ok" and record.get("safe") is False
-
-
-def _is_safe(record: dict) -> bool:
-    return record.get("status") == "ok" and record.get("safe") is True
 
 
 def load_audit(path: str | Path) -> AuditRun:
@@ -128,33 +312,7 @@ def load_audit(path: str | Path) -> AuditRun:
     return run
 
 
-def _tally(records: list[dict]) -> dict[str, int]:
-    tally = {"safe": 0, "vulnerable": 0, "failed": 0, "cached": 0}
-    for record in records:
-        if _is_safe(record):
-            tally["safe"] += 1
-        elif _is_vulnerable(record):
-            tally["vulnerable"] += 1
-        else:
-            tally["failed"] += 1
-        if record.get("cached"):
-            tally["cached"] += 1
-    return tally
-
-
-def _sum_dicts(records: list[dict], key: str) -> dict[str, float]:
-    totals: dict[str, float] = {}
-    for record in records:
-        payload = record.get(key)
-        if not isinstance(payload, dict):
-            continue
-        for name, value in payload.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                totals[name] = totals.get(name, 0) + value
-    return totals
-
-
-def replay_disagreements(records: list[dict]) -> list[dict]:
+def replay_disagreements(records: Iterable[Mapping]) -> list[dict]:
     """Vulnerable-but-refuted files: the static verdict said vulnerable,
     yet every synthesized witness request failed to reach a sink on a
     fully steered path.  These are the candidate false positives the
@@ -164,7 +322,7 @@ def replay_disagreements(records: list[dict]) -> list[dict]:
     out: list[dict] = []
     for record in records:
         replay = record.get("replay")
-        if not _is_vulnerable(record) or not isinstance(replay, dict):
+        if verdict_of(record) != "vulnerable" or not isinstance(replay, dict):
             continue
         refuted = replay.get("refuted")
         if isinstance(refuted, int) and not isinstance(refuted, bool) and refuted > 0:
@@ -178,53 +336,9 @@ def replay_disagreements(records: list[dict]) -> list[dict]:
     return out
 
 
-def _failures_by_status(records: list[dict]) -> dict[str, int]:
-    by_status: dict[str, int] = {}
-    for record in records:
-        if record.get("status") != "ok":
-            by_status[record["status"]] = by_status.get(record["status"], 0) + 1
-    return by_status
-
-
-def _stage_sort_key(stage: str) -> tuple[int, str]:
-    return (
-        _STAGE_ORDER.index(stage) if stage in _STAGE_ORDER else len(_STAGE_ORDER),
-        stage,
-    )
-
-
-def stage_quantiles(records: list[dict]) -> dict[str, dict]:
-    """Per-stage latency quantiles from file-record timings.
-
-    Observations go through the same cumulative-bucket histogram and
-    interpolating estimator as the ``/metrics`` ``_quantile`` gauges, so
-    a report and a scrape of the same run agree (both are estimates
-    bounded by the bucket layout, not exact order statistics).  Cached
-    records are skipped — their stages never ran in this run.
-    """
-    registry = MetricsRegistry()
-    histogram = registry.histogram("report_stage_seconds")
-    counts: dict[str, int] = {}
-    for record in records:
-        if record.get("cached"):
-            continue
-        timings = record.get("timings")
-        if not isinstance(timings, dict):
-            continue
-        for stage, seconds in timings.items():
-            if isinstance(seconds, (int, float)) and not isinstance(seconds, bool):
-                histogram.observe(float(seconds), stage=str(stage))
-                counts[str(stage)] = counts.get(str(stage), 0) + 1
-    out: dict[str, dict] = {}
-    for stage in sorted(counts, key=_stage_sort_key):
-        out[stage] = {
-            "count": counts[stage],
-            **{
-                f"p{int(q * 100)}": histogram.quantile(q, stage=stage)
-                for q in _REPORT_QUANTILES
-            },
-        }
-    return out
+def stage_quantiles(records: Iterable[Mapping]) -> dict[str, dict]:
+    """Per-stage latency quantiles of ``records`` (see :meth:`RunTotals.quantiles`)."""
+    return RunTotals.of(records).quantiles()
 
 
 def _format_slow_query(query: dict) -> str:
@@ -236,8 +350,7 @@ def _format_slow_query(query: dict) -> str:
     counters = [
         f"{int(query[name])} {name}"
         for name in ("decisions", "conflicts")
-        if isinstance(query.get(name), (int, float))
-        and not isinstance(query.get(name), bool)
+        if _is_number(query.get(name))
     ]
     if counters:
         parts.append(", ".join(counters))
@@ -247,173 +360,24 @@ def _format_slow_query(query: dict) -> str:
     return "  ".join(parts)
 
 
-def render_report(run: AuditRun, top: int = 10) -> str:
-    """Human-readable summary of one audit run."""
-    records = run.files
-    tally = _tally(records)
-    lines = [f"audit report — {run.path}"]
-    if run.truncated:
-        lines.append("warning: stream has no stats trailer (truncated or interrupted run)")
-    stats = run.stats or {}
-    if stats.get("interrupted"):
-        lines.append("warning: run was interrupted before completion")
-    total = stats.get("total", len(records))
-    wall = stats.get("wall_seconds")
-    header = f"files: {len(records)}/{total} audited"
-    if isinstance(wall, (int, float)):
-        header += f" in {wall:.2f}s"
-    lines.append(header)
-    lines.append(
-        f"verdicts: {tally['safe']} safe, {tally['vulnerable']} vulnerable, "
-        f"{tally['failed']} failed"
-    )
-    lines.append(
-        f"cache: {tally['cached']} hit(s), {len(records) - tally['cached']} miss(es)"
-    )
-
-    durations = [
-        r["duration"]
-        for r in records
-        if isinstance(r.get("duration"), (int, float))
-        and not isinstance(r.get("duration"), bool)
-    ]
-    # Guarded: a trailer-only or fully-drained stream has no durations,
-    # and the mean must not divide by zero.
-    if durations:
-        lines.append(
-            f"per-file duration: mean {sum(durations) / len(durations):.3f}s, "
-            f"max {max(durations):.3f}s"
-        )
-
-    by_status = _failures_by_status(records)
-    if by_status:
-        parts = ", ".join(f"{count} {status}" for status, count in sorted(by_status.items()))
-        lines.append(f"failures: {parts}")
-
-    stage_totals = _sum_dicts(records, "timings")
-    if stage_totals:
-        stage_text = ", ".join(
-            f"{stage} {seconds:.2f}s" for stage, seconds in sorted(stage_totals.items())
-        )
-        lines.append(f"stage time: {stage_text}")
-
-    quantiles = stage_quantiles(records)
-    if quantiles:
-        lines.append("stage latency p50/p90/p99 (bucket-interpolated):")
-        for stage, latency in quantiles.items():
-            lines.append(
-                f"  {stage:<7} {latency['p50']:.3f}s / {latency['p90']:.3f}s / "
-                f"{latency['p99']:.3f}s  (n={latency['count']})"
-            )
-
-    solver_totals = _sum_dicts(records, "solver")
-    if solver_totals:
-        order = ("solve_calls", "decisions", "propagations", "conflicts",
-                 "learned_clauses", "restarts", "preprocessed_clauses",
-                 "cache_hits", "cache_misses")
-        parts = [
-            f"{int(solver_totals[name])} {name.replace('_', ' ')}"
-            for name in order
-            if name in solver_totals
-        ]
-        if parts:
-            lines.append("solver: " + ", ".join(parts))
-        reclaimed = int(solver_totals.get("root_satisfied_deleted", 0))
-        if reclaimed:
-            lines.append(f"incremental: {reclaimed} dead clause(s) reclaimed")
-
-    include_totals = _sum_dicts(records, "includes")
-    if include_totals:
-        parts = [
-            f"{int(include_totals.get('edges', 0))} edge(s)",
-            f"{int(include_totals.get('included_files', 0))} spliced",
-            f"{int(include_totals.get('unresolved', 0))} unresolved dynamic",
-        ]
-        hits = int(include_totals.get("parse_cache_hits", 0))
-        misses = int(include_totals.get("parse_cache_misses", 0))
-        if hits or misses:
-            parts.append(f"parse cache {hits} hit(s) / {misses} miss(es)")
-        lines.append("includes: " + ", ".join(parts))
-
-    replay_totals = _sum_dicts(records, "replay")
-    if replay_totals:
-        lines.append(
-            f"replay: {int(replay_totals.get('confirmed', 0))} confirmed, "
-            f"{int(replay_totals.get('refuted', 0))} refuted, "
-            f"{int(replay_totals.get('unsupported', 0))} unsupported"
-            + (
-                f", {int(replay_totals['skipped'])} skipped"
-                if replay_totals.get("skipped")
-                else ""
-            )
-        )
-        killed = int(replay_totals.get("patched_refuted", 0))
-        survived = int(replay_totals.get("patched_confirmed", 0))
-        if killed or survived:
-            lines.append(f"patched replay: {killed} killed, {survived} survived")
-        disagreements = replay_disagreements(records)
-        if disagreements:
-            lines.append(
-                f"replay disagreements (vulnerable but refuted): {len(disagreements)}"
-            )
-            for item in disagreements:
-                lines.append(
-                    f"  {item['filename']}  ({item['refuted']} refuted, "
-                    f"{item['confirmed']} confirmed)"
-                )
-
-    slow = run.slow_queries(top=max(0, top))
-    if slow:
-        lines.append(f"slow queries (top {len(slow)}):")
-        for query in slow:
-            lines.append("  " + _format_slow_query(query))
-
-    slowest = sorted(
-        (r for r in records if isinstance(r.get("duration"), (int, float))),
-        key=lambda r: r["duration"],
-        reverse=True,
-    )[: max(0, top)]
-    if slowest:
-        lines.append(f"slowest {len(slowest)} file(s):")
-        for record in slowest:
-            verdict = (
-                "vulnerable"
-                if _is_vulnerable(record)
-                else ("safe" if _is_safe(record) else record.get("status", "?"))
-            )
-            lines.append(f"  {record['duration']:9.3f}s  {record['filename']}  [{verdict}]")
-    return "\n".join(lines)
-
-
 def summarize_run(run: AuditRun, top: int = 10) -> dict:
     """Machine-readable run summary (the ``repro report --json`` payload).
 
-    Carries everything :func:`render_report` prints — tallies, stage
-    sums and quantiles, the slow-query ledger, the
-    slowest files — as plain JSON-able data, so CI and bench harnesses
-    stop scraping the human-oriented text.
+    Folds the last record per filename (the :func:`diff_runs` rule) with
+    :class:`RunTotals`, so its ``stage_seconds``, ``solver``,
+    ``includes`` and ``replay`` sections match the stats trailer of the
+    run that wrote the stream.  :func:`render_report` prints this dict
+    and the HTML dashboard draws from it.
     """
-    records = run.files
+    records = list(run.by_filename().values())
+    totals = RunTotals.of(records)
     stats = run.stats or {}
-    durations = [
-        r["duration"]
-        for r in records
-        if isinstance(r.get("duration"), (int, float))
-        and not isinstance(r.get("duration"), bool)
-    ]
+    durations = [r["duration"] for r in records if _is_number(r.get("duration"))]
     slowest = sorted(
-        (r for r in records if isinstance(r.get("duration"), (int, float))),
+        (r for r in records if _is_number(r.get("duration"))),
         key=lambda r: r["duration"],
         reverse=True,
     )[: max(0, top)]
-
-    def verdict_of(record: dict) -> str:
-        if _is_vulnerable(record):
-            return "vulnerable"
-        if _is_safe(record):
-            return "safe"
-        return str(record.get("status", "?"))
-
     return {
         "path": run.path,
         "truncated": run.truncated,
@@ -421,29 +385,14 @@ def summarize_run(run: AuditRun, top: int = 10) -> dict:
         "files_audited": len(records),
         "files_total": stats.get("total", len(records)),
         "wall_seconds": stats.get("wall_seconds"),
-        "verdicts": _tally(records),
-        "failures": _failures_by_status(records),
+        "verdicts": totals.tally(),
+        "failures": totals.failures(),
         "duration": {
             "mean": sum(durations) / len(durations) if durations else None,
             "max": max(durations) if durations else None,
         },
-        "stage_seconds": {
-            stage: seconds
-            for stage, seconds in sorted(_sum_dicts(records, "timings").items())
-        },
-        "stage_quantiles": stage_quantiles(records),
-        "solver": {
-            name: value
-            for name, value in sorted(_sum_dicts(records, "solver").items())
-        },
-        "includes": {
-            name: value
-            for name, value in sorted(_sum_dicts(records, "includes").items())
-        },
-        "replay": {
-            name: value
-            for name, value in sorted(_sum_dicts(records, "replay").items())
-        },
+        **totals.sections(),
+        "stage_quantiles": totals.quantiles(),
         "replay_disagreements": replay_disagreements(records),
         "slow_queries": run.slow_queries(top=max(0, top)),
         "slowest_files": [
@@ -455,6 +404,62 @@ def summarize_run(run: AuditRun, top: int = 10) -> dict:
             for record in slowest
         ],
     }
+
+
+def render_report(run: AuditRun, top: int = 10) -> str:
+    """Human-readable summary of one audit run: :func:`summarize_run`'s dict."""
+    summary = summarize_run(run, top)
+    lines = [f"audit report — {run.path}"]
+    if summary["truncated"]:
+        lines.append("warning: stream has no stats trailer (truncated or interrupted run)")
+    if summary["interrupted"]:
+        lines.append("warning: run was interrupted before completion")
+    header = f"files: {summary['files_audited']}/{summary['files_total']} audited"
+    if _is_number(summary["wall_seconds"]):
+        header += f" in {summary['wall_seconds']:.2f}s"
+    lines.append(header)
+    tally = summary["verdicts"]
+    lines.append(
+        f"verdicts: {tally['safe']} safe, {tally['vulnerable']} vulnerable, "
+        f"{tally['failed']} failed"
+    )
+    lines.append(
+        f"cache: {tally['cached']} hit(s), "
+        f"{summary['files_audited'] - tally['cached']} miss(es)"
+    )
+    duration = summary["duration"]
+    if duration["mean"] is not None:
+        lines.append(
+            f"per-file duration: mean {duration['mean']:.3f}s, max {duration['max']:.3f}s"
+        )
+    if summary["failures"]:
+        parts = ", ".join(f"{count} {status}" for status, count in summary["failures"].items())
+        lines.append(f"failures: {parts}")
+    lines.extend(render_totals(summary))
+    if summary["stage_quantiles"]:
+        lines.append("stage latency p50/p90/p99 (bucket-interpolated):")
+        for stage, latency in summary["stage_quantiles"].items():
+            lines.append(
+                f"  {stage:<7} {latency['p50']:.3f}s / {latency['p90']:.3f}s / "
+                f"{latency['p99']:.3f}s  (n={latency['count']})"
+            )
+    disagreements = summary["replay_disagreements"]
+    if disagreements:
+        lines.append(f"replay disagreements (vulnerable but refuted): {len(disagreements)}")
+        for item in disagreements:
+            lines.append(
+                f"  {item['filename']}  ({item['refuted']} refuted, "
+                f"{item['confirmed']} confirmed)"
+            )
+    if summary["slow_queries"]:
+        lines.append(f"slow queries (top {len(summary['slow_queries'])}):")
+        for query in summary["slow_queries"]:
+            lines.append("  " + _format_slow_query(query))
+    if summary["slowest_files"]:
+        lines.append(f"slowest {len(summary['slowest_files'])} file(s):")
+        for item in summary["slowest_files"]:
+            lines.append(f"  {item['duration']:9.3f}s  {item['filename']}  [{item['verdict']}]")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -494,16 +499,17 @@ def diff_runs(old: AuditRun, new: AuditRun) -> AuditDiff:
             diff.removed.append(name)
             continue
         if before is None:
-            if _is_vulnerable(after):
+            if verdict_of(after) == "vulnerable":
                 diff.new_vulnerable.append(name)
             else:
                 diff.added.append(name)
             continue
-        if _is_vulnerable(before) and _is_vulnerable(after):
+        was, now = verdict_of(before), verdict_of(after)
+        if was == now == "vulnerable":
             diff.still_vulnerable += 1
-        elif _is_vulnerable(after):
+        elif now == "vulnerable":
             diff.regressed.append(name)
-        elif _is_vulnerable(before) and _is_safe(after):
+        elif was == "vulnerable" and now == "safe":
             diff.fixed.append(name)
         if before.get("status") == "ok" and after.get("status") != "ok":
             diff.broken.append(name)

@@ -34,7 +34,7 @@ small enough that pure Python is comfortable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, fields as dataclass_fields
 from heapq import heappop, heappush
 
@@ -42,6 +42,7 @@ from repro.sat.cnf import CNF
 
 __all__ = [
     "CDCLSolver",
+    "MAX_STATS",
     "SolveResult",
     "SolverStats",
     "accumulate_stats",
@@ -112,15 +113,31 @@ class SolverStats:
     assumption_prefix_reused: int = stat_counter()
 
 
-def accumulate_stats(totals: dict[str, int], stats: "SolverStats") -> None:
-    """Fold one solve call's counters into ``totals`` in place, honoring
-    each field's declared aggregation rule (sum or max)."""
-    for stat_field in dataclass_fields(stats):
-        value = getattr(stats, stat_field.name)
-        if stat_field.metadata.get("aggregate") == "max":
-            totals[stat_field.name] = max(totals.get(stat_field.name, 0), value)
+#: :class:`SolverStats` counters that aggregate with ``max``; every other
+#: counter sums.
+MAX_STATS = frozenset(
+    stat_field.name
+    for stat_field in dataclass_fields(SolverStats)
+    if stat_field.metadata.get("aggregate") == "max"
+)
+
+
+def accumulate_stats(
+    totals: dict[str, int], stats: "SolverStats | Mapping[str, object]"
+) -> None:
+    """Fold one solve call's counters, or one file record's ``solver``
+    section, into ``totals`` in place, honoring each field's declared
+    aggregation rule (sum or max).  Non-integer entries (a record's
+    ``backend``) are skipped; counters that are not :class:`SolverStats`
+    fields (a record's ``solve_calls``) sum."""
+    counters = vars(stats) if isinstance(stats, SolverStats) else stats
+    for name, value in counters.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            continue
+        if name in MAX_STATS:
+            totals[name] = max(totals.get(name, 0), value)
         else:
-            totals[stat_field.name] = totals.get(stat_field.name, 0) + value
+            totals[name] = totals.get(name, 0) + value
 
 
 @dataclass

@@ -221,6 +221,50 @@ class TestAuditSatPacks:
         assert packs() == written, "a warm run must not write a pack"
 
 
+class TestRunSummary:
+    """``repro audit``'s trailer and closing lines and ``repro report``
+    fold the same records by the same rule."""
+
+    @staticmethod
+    def report_json(stream, capsys):
+        assert main(["report", str(stream), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_warm_stream_reports_no_work_it_did_not_do(self, corpus, tmp_path, capsys):
+        streams = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
+        for stream in streams:
+            audit(corpus, "--replay", "on", "--cache-dir", tmp_path / "cache",
+                  "--jsonl", stream, "--quiet")
+        capsys.readouterr()
+        cold, warm = (self.report_json(stream, capsys) for stream in streams)
+        trailer = json.loads(streams[1].read_text().splitlines()[-1])
+        assert warm["verdicts"]["cached"] == 3
+        assert cold["solver"] and cold["stage_seconds"]
+        for section in ("solver", "includes", "stage_seconds"):
+            assert warm[section] == trailer[section] == {}, section
+        verdicts = lambda summary: {k: v for k, v in summary["verdicts"].items() if k != "cached"}
+        assert verdicts(warm) == verdicts(cold)
+        assert warm["replay"] == cold["replay"] and warm["replay"]["confirmed"] >= 1
+        main(["report", str(streams[1])])
+        assert "solver:" not in capsys.readouterr().out
+
+    def test_audit_and_report_print_the_same_totals_lines(self, corpus, tmp_path, capsys):
+        stream = tmp_path / "audit.jsonl"
+        audit(corpus, "--no-cache", "--replay", "on", "--jsonl", stream, "--quiet")
+        audit_out = capsys.readouterr().out.splitlines()
+        main(["report", str(stream)])
+        report_out = capsys.readouterr().out.splitlines()
+        prefixes = ("stage time:", "solver:", "includes:", "replay:", "patched replay:")
+        shared = [line for line in audit_out if line.startswith(prefixes)]
+        assert shared == [line for line in report_out if line.startswith(prefixes)]
+        stage_line = next(line for line in shared if line.startswith("stage time:"))
+        stages = [part.split()[0] for part in stage_line[len("stage time: "):].split(", ")]
+        assert stages == ["parse", "filter", "ai", "sat", "replay"]
+        latency = report_out[report_out.index(
+            "stage latency p50/p90/p99 (bucket-interpolated):") + 1:][: len(stages)]
+        assert [line.split()[0] for line in latency] == stages
+
+
 class TestAuditJsonl:
     def test_jsonl_written(self, corpus, tmp_path):
         out = tmp_path / "audit.jsonl"

@@ -443,6 +443,34 @@ class TestSolverStatsInOutcomes:
         stats_line = json.loads(out.read_text().splitlines()[-1])
         assert stats_line["solver"]["solve_calls"] > 0
 
+    def test_max_decision_level_folds_with_max(self, monkeypatch, tmp_path, capsys):
+        """``max_decision_level`` is a per-file maximum: the run keeps the
+        largest, and it is no event count for ``repro_solver_events_total``."""
+        from repro.cli import main
+        from repro.engine import FileOutcome
+        from repro.obs import MetricsRegistry
+
+        def deepest(level):
+            return lambda task, websari, want_report: FileOutcome(
+                filename=task.filename, status="ok", safe=True,
+                solver={"backend": "cdcl", "solve_calls": 1, "max_decision_level": level},
+            )
+
+        patch_execute(monkeypatch, {"a.php": deepest(3), "b.php": deepest(5)})
+        out = tmp_path / "audit.jsonl"
+        registry = MetricsRegistry()
+        with JsonlSink(out) as sink:
+            AuditEngine(config=EngineConfig(jobs=1, jsonl=sink, metrics=registry)).run(
+                make_tasks([("a.php", SAFE), ("b.php", SAFE)])
+            )
+        trailer = json.loads(out.read_text().splitlines()[-1])
+        assert trailer["solver"] == {"max_decision_level": 5, "solve_calls": 2}
+        assert main(["report", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver"] == trailer["solver"]
+        text = registry.render()
+        assert 'kind="solve_calls"} 2' in text
+        assert 'kind="max_decision_level"' not in text
+
     def test_failed_outcome_has_empty_solver(self):
         result = AuditEngine(config=EngineConfig(jobs=1)).run(make_tasks([("b.php", BROKEN)]))
         assert result.outcomes[0].solver == {}

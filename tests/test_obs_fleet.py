@@ -1,8 +1,5 @@
-"""Metrics registry plumbing: snapshot merging (the watch daemon's
-per-cycle fold), quantile estimation, and exposition-format label
-hygiene."""
-
-import json
+"""Metrics registry plumbing: quantile estimation, histogram buckets and
+exposition-format label hygiene."""
 
 import pytest
 
@@ -12,11 +9,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     estimate_quantile,
 )
-
-
-def snapshot_roundtrip(registry):
-    """A snapshot after a JSON round trip."""
-    return json.loads(json.dumps(registry.snapshot()))
 
 
 class TestLabelHygiene:
@@ -92,43 +84,6 @@ class TestQuantiles:
         assert "quantile" not in registry.render()
 
 
-class TestSnapshotMerge:
-    def test_json_roundtrip_union_preserves_render(self):
-        source = MetricsRegistry()
-        source.counter("files_total", "files").inc(status="ok")
-        source.counter("files_total").inc(2, status="crash")
-        source.gauge("queue_depth").set(7)
-        source.histogram("latency", buckets=(0.1, 1.0)).observe(0.05)
-
-        target = MetricsRegistry()
-        target.merge_snapshot(snapshot_roundtrip(source))
-        assert target.render() == source.render()
-
-    def test_counters_and_histograms_accumulate(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(5)
-        source.histogram("h", buckets=(1.0,)).observe(0.5)
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot())
-        target.merge_snapshot(source.snapshot())
-        assert target.counter("c").value() == 10
-        assert target.histogram("h", buckets=(1.0,)).count() == 2
-
-    def test_gauge_merge_is_last_write(self):
-        source = MetricsRegistry()
-        source.gauge("g").set(3)
-        target = MetricsRegistry()
-        target.merge_snapshot(source.snapshot())
-        target.merge_snapshot(source.snapshot())
-        assert target.gauge("g").value() == 3
-
-    def test_bucket_boundary_mismatch_rejected(self):
-        source = MetricsRegistry()
-        source.histogram("h", buckets=(0.5, 5.0)).observe(0.1)
-        target = MetricsRegistry()
-        target.histogram("h", buckets=(1.0, 10.0)).observe(0.1)
-        with pytest.raises(ValueError, match="incompatible bucket boundaries"):
-            target.merge_snapshot(source.snapshot())
-
+class TestBuckets:
     def test_default_buckets_sorted(self):
         assert tuple(sorted(DEFAULT_BUCKETS)) == DEFAULT_BUCKETS

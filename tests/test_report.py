@@ -492,3 +492,32 @@ class TestReportCli:
             ["report", "--diff", str(path), str(path), "--html", str(tmp_path / "x.html")]
         ) == 2
         assert "single-stream" in capsys.readouterr().err
+
+
+class TestViewsAgree:
+    def test_text_json_and_html_tally_the_last_record_per_filename(self, tmp_path, capsys):
+        path = write_stream(
+            tmp_path / "dup.jsonl",
+            [
+                file_record("a.php", safe=True),
+                file_record("b.php", status="timeout", safe=None),
+                # A re-audit of a.php supersedes its first line.
+                file_record("a.php", safe=False),
+                file_record("c.php", safe=True),
+            ],
+        )
+        html = tmp_path / "dash.html"
+        assert main(["report", str(path), "--json", "--html", str(html)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["files_audited"] == 3
+        assert summary["verdicts"] == {"safe": 1, "vulnerable": 1, "failed": 1, "cached": 0}
+        assert main(["report", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "files: 3/" in text
+        assert "verdicts: 1 safe, 1 vulnerable, 1 failed" in text
+        page = html.read_text()
+        for number, caption in (
+            (3, "files"), (1, "safe"), (1, "vulnerable"), (1, "failed"), (0, "cache hits")
+        ):
+            tile = f"<span class='num'>{number}</span><span class='cap'>{caption}</span>"
+            assert tile in page, caption
