@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--start-method", choices=("fork", "spawn"), default=None,
         help="worker-pool start method (default: fork where available; "
-        "spawn is the portable escape hatch — workers receive their "
-        "policy as an explicit session message either way)",
+        "spawn is the portable escape hatch — fork workers inherit the "
+        "parent's parse memo, and verdicts are identical either way)",
     )
     audit.add_argument(
         "--replay", choices=("on", "off"), default="off",

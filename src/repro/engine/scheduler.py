@@ -5,7 +5,8 @@ Design (persistent workers, pipelined two-deep):
 
 * ``jobs`` long-lived worker processes are started once (fork where
   available, or ``spawn`` via :attr:`EngineConfig.start_method`), given
-  their policy as an explicit session-setup message, and fed
+  their policy as a :class:`~repro.engine.worker.WorkerSession` process
+  argument (inherited as memory under fork, pickled under spawn), and fed
   :class:`~repro.engine.worker.AuditTask` objects over duplex pipes, so
   process start-up cost is paid per *pool*, not per file.
 * Each pipe holds up to :data:`_QUEUE_DEPTH` (2) tasks: while a worker
@@ -136,10 +137,10 @@ class EngineConfig:
     drain_event: threading.Event | None = None
     #: Multiprocessing start method for the pool: ``"fork"``, ``"spawn"``,
     #: or None to prefer fork where available (fastest) and fall back to
-    #: the platform default.  Workers receive their policy as an explicit
-    #: session-setup message either way, so both methods produce
-    #: identical outcomes — ``spawn`` is the portable escape hatch for
-    #: hosts without fork.
+    #: the platform default.  Fork workers inherit the parent's verifier
+    #: and its parse memo; spawn workers get a pickled copy with empty
+    #: caches.  Both methods produce identical verdicts — ``spawn`` is
+    #: the portable escape hatch for hosts without fork.
     start_method: str | None = None
 
     @property
@@ -444,23 +445,21 @@ class AuditEngine:
 
     def _spawn_worker(self, ctx) -> _Worker:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(target=_worker_loop, args=(child_conn,), daemon=True)
+        # The session rides on the process arguments: a forked worker
+        # inherits it as memory (the verifier with the parse memo the
+        # include scan just filled), a spawned one unpickles a copy whose
+        # caches start empty.  Either way the worker runs the same loop
+        # and reaches the same verdicts.
+        session = WorkerSession(
+            websari=self.websari,
+            want_report=self.config.want_reports,
+            collect_trace=self.config.tracing,
+        )
+        process = ctx.Process(
+            target=_worker_loop, args=(child_conn, session), daemon=True
+        )
         process.start()
         child_conn.close()
-        # The policy travels as an explicit session message (not fork
-        # inheritance), so fork and spawn workers are interchangeable.
-        # A worker that dies before reading it surfaces through the
-        # normal broken-pipe crash path on its first task.
-        try:
-            parent_conn.send(
-                WorkerSession(
-                    websari=self.websari,
-                    want_report=self.config.want_reports,
-                    collect_trace=self.config.tracing,
-                )
-            )
-        except (BrokenPipeError, OSError):
-            pass
         return _Worker(process, parent_conn)
 
     def _dedupe_for_pipe(

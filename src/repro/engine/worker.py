@@ -113,14 +113,17 @@ class FileRef:
 
 @dataclass(frozen=True)
 class WorkerSession:
-    """Session setup shipped to a fresh worker as its first pipe message.
+    """What a worker process needs besides its tasks: the policy (the
+    :class:`~repro.websari.pipeline.WebSSARI` instance with its prelude,
+    lattice, solver options and parse memo) and the run options.
 
-    The policy (the :class:`~repro.websari.pipeline.WebSSARI` instance
-    with its prelude, lattice, and solver options) travels over the pipe
-    instead of relying on fork-time memory inheritance, so workers behave
-    identically under the ``fork`` and ``spawn`` start methods — and can
-    therefore live on hosts where fork is unavailable (macOS default,
-    Windows).
+    It is an argument of the worker process.  Under ``fork`` the worker
+    inherits the parent's session as memory, so it starts with the
+    verifier's parse memo as the include scan left it and parses none of
+    those files again; under ``spawn`` the session is pickled, which
+    drops the caches' contents, and the worker fills its own.  Verdicts
+    are identical under both start methods, so workers can live on hosts
+    where fork is unavailable (macOS default, Windows).
     """
 
     websari: "WebSSARI"
@@ -424,19 +427,19 @@ def _rehydrate_task(task: AuditTask, store: dict[str, str]) -> AuditTask:
     return replace(task, project_files=files)
 
 
-def _worker_loop(conn) -> None:
+def _worker_loop(conn, session: WorkerSession) -> None:
     """Entry point of a persistent worker process.
 
-    The first message on the pipe must be a :class:`WorkerSession` (the
-    policy and run options — shipped explicitly rather than inherited
-    through fork, so the loop is start-method agnostic).  After that it
-    receives :class:`AuditTask` objects and sends one
-    :class:`FileOutcome` back per task until the scheduler shuts it down
-    (``None`` sentinel or closed pipe).  Project-file texts already seen
-    on this pipe arrive as :class:`FileRef` digests and are rehydrated
-    from a session-local store.  A worker that dies mid-task (hard
-    crash, kill, unpicklable result) is detected by the scheduler
-    through the broken pipe and replaced with a fresh process.
+    ``session`` carries the policy and run options.  Under ``fork`` it
+    is the parent's own object, inherited with the process memory (the
+    verifier's parse memo included); under ``spawn`` it arrives pickled,
+    with empty caches.  The worker receives :class:`AuditTask` objects
+    and sends one :class:`FileOutcome` back per task until the scheduler
+    shuts it down (``None`` sentinel or closed pipe).  Project-file
+    texts already seen on this pipe arrive as :class:`FileRef` digests
+    and are rehydrated from a session-local store.  A worker that dies
+    mid-task (hard crash, kill, unpicklable result) is detected by the
+    scheduler through the broken pipe and replaced with a fresh process.
     """
     # The parent coordinates interrupts (drain + trailer): a terminal ^C
     # reaches the whole foreground process group, so workers must not
@@ -450,15 +453,6 @@ def _worker_loop(conn) -> None:
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     try:
-        try:
-            session = conn.recv()
-        except EOFError:
-            return
-        if not isinstance(session, WorkerSession):
-            raise TypeError(
-                f"worker expected a WorkerSession setup message, got "
-                f"{type(session).__name__}"
-            )
         store: dict[str, str] = {}
         while True:
             try:

@@ -20,6 +20,16 @@ from repro.interp.values import PhpArray, to_string
 
 __all__ = ["HttpRequest", "MockDatabase", "QueryResult", "ExecutionEnvironment"]
 
+_STATEMENT = re.IGNORECASE | re.DOTALL
+_INSERT = re.compile(
+    r"insert\s+into\s+(\w+)\s*(?:\(([^)]*)\))?\s*values\s*\((.*)\)\s*$", _STATEMENT
+)
+_SELECT = re.compile(r"select\s+(.*?)\s+from\s+(\w+)(?:\s+where\s+(.*))?$", _STATEMENT)
+_DROP = re.compile(r"drop\s+table\s+\(?'?\"?(\w+)", re.IGNORECASE)
+_DELETE = re.compile(r"delete\s+from\s+(\w+)(?:\s+where\s+(.*))?$", _STATEMENT)
+_UPDATE = re.compile(r"update\s+(\w+)\s+set\s+(.*?)(?:\s+where\s+(.*))?$", _STATEMENT)
+_EQUALITY = re.compile(r"\s*(\w+(?:\.\w+)?)\s*=\s*(.+?)\s*$")
+
 
 @dataclass
 class HttpRequest:
@@ -98,53 +108,51 @@ class MockDatabase:
         """Split on ';' like a real engine would: separators inside quoted
         strings do not end a statement (so properly escaped input cannot
         smuggle a second statement, but quote-breakout injection can)."""
+        if ";" not in sql:
+            statement = sql.strip()
+            return [statement] if statement else []
         pieces: list[str] = []
-        current = ""
+        start = 0
         quote: str | None = None
         i = 0
         while i < len(sql):
             ch = sql[i]
             if quote is not None:
-                current += ch
-                if ch == "\\" and i + 1 < len(sql):
-                    current += sql[i + 1]
-                    i += 2
+                if ch == "\\":
+                    i += 2  # the escaped character never ends the string
                     continue
                 if ch == quote:
                     quote = None
             elif ch in ("'", '"'):
                 quote = ch
-                current += ch
             elif ch == ";":
-                pieces.append(current.strip())
-                current = ""
-            else:
-                current += ch
+                pieces.append(sql[start:i].strip())
+                start = i + 1
             i += 1
-        pieces.append(current.strip())
+        pieces.append(sql[start:].strip())
         return [p for p in pieces if p]
 
     def _execute_one(self, sql: str) -> QueryResult | bool:
-        match = re.match(r"insert\s+into\s+(\w+)\s*(?:\(([^)]*)\))?\s*values\s*\((.*)\)\s*$", sql, re.IGNORECASE | re.DOTALL)
+        match = _INSERT.match(sql)
         if match:
             return self._insert(match.group(1), match.group(2), match.group(3))
-        match = re.match(r"select\s+(.*?)\s+from\s+(\w+)(?:\s+where\s+(.*))?$", sql, re.IGNORECASE | re.DOTALL)
+        match = _SELECT.match(sql)
         if match:
             return self._select(match.group(1), match.group(2), match.group(3))
-        match = re.match(r"drop\s+table\s+\(?'?\"?(\w+)", sql, re.IGNORECASE)
+        match = _DROP.match(sql)
         if match:
             name = match.group(1)
             self.tables.pop(name, None)
             self.dropped_tables.append(name)
             return True
-        match = re.match(r"delete\s+from\s+(\w+)(?:\s+where\s+(.*))?$", sql, re.IGNORECASE | re.DOTALL)
+        match = _DELETE.match(sql)
         if match:
             table = match.group(1)
             predicate = self._predicate(match.group(2))
             rows = self.tables.get(table, [])
             self.tables[table] = [row for row in rows if not predicate(row)]
             return True
-        match = re.match(r"update\s+(\w+)\s+set\s+(.*?)(?:\s+where\s+(.*))?$", sql, re.IGNORECASE | re.DOTALL)
+        match = _UPDATE.match(sql)
         if match:
             return self._update(match.group(1), match.group(2), match.group(3))
         # Unknown statements succeed silently (the corpus only needs the
@@ -187,7 +195,7 @@ class MockDatabase:
     def _predicate(self, where: str | None):
         if not where:
             return lambda row: True
-        match = re.match(r"\s*(\w+(?:\.\w+)?)\s*=\s*(.+?)\s*$", where)
+        match = _EQUALITY.match(where)
         if not match:
             return lambda row: True
         column = match.group(1).split(".")[-1]

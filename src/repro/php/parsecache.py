@@ -54,9 +54,9 @@ class ParseCache:
     Shared preludes keep their path across entries, so cross-entry reuse
     is unaffected.
 
-    An in-memory LRU bounded by ``max_entries``.  Pickling drops the
-    memo, so shipping the cache to spawn-start workers stays cheap; each
-    worker then fills its own.
+    An in-memory LRU bounded by ``max_entries``.  Forked workers inherit
+    it filled.  Pickling drops the memo, so shipping the cache to
+    spawn-start workers stays cheap; each of them fills its own.
     """
 
     def __init__(self, persist_dir: str | Path | None = None, max_entries: int = 4096) -> None:

@@ -52,6 +52,7 @@ __all__ = [
     "ReplayResult",
     "synthesize_request",
     "canonical_request",
+    "request_identity",
     "replay_counterexamples",
     "replay_source",
     "summarize_replays",
@@ -190,8 +191,10 @@ class _TaskParses:
 
     Original sources parse through ``parse_hook`` (the engine worker
     passes its parse cache, which already holds them).  Patched sources
-    that differ from the original use the plain parser, so they never
-    reach a persistent cache.
+    that differ from the original use the plain parser and live only in
+    this memo: no other task reads them, so they stay out of the
+    verifier's in-memory parse cache, where they would only take LRU
+    slots from trees later tasks do read.
     """
 
     def __init__(self, parse_hook: ParseHook | None = None) -> None:
@@ -245,6 +248,24 @@ def _patched_sources(sources: dict[str, str], grouping) -> dict[str, str]:
     return patched
 
 
+def request_identity(request: HttpRequest) -> tuple:
+    """Hashable identity of a request for sharing runs between traces.
+
+    Every mapping keeps its insertion order: a ``foreach`` over
+    ``$_GET`` sees key order, so two requests that differ only in it
+    are different requests (:func:`canonical_request` sorts, and would
+    conflate them).
+    """
+    return (
+        tuple(request.get.items()),
+        tuple(request.post.items()),
+        tuple(request.cookies.items()),
+        request.referer,
+        request.user_agent,
+        tuple(request.server.items()),
+    )
+
+
 def replay_counterexamples(
     sources: dict[str, str],
     entry: str,
@@ -267,11 +288,53 @@ def replay_counterexamples(
     fresh environment.  Every source is parsed once for the whole call;
     ``parse_hook`` (default :func:`repro.php.parser.parse`) parses the
     original sources.
+
+    A run against a fresh environment is a pure function of program and
+    request (the interpreter is deterministic), so traces that
+    synthesize the same request (see :func:`request_identity`) share one
+    original run and one patched run.  With a shared ``database`` or
+    ``session`` runs are stateful and order-dependent, and every trace
+    keeps its own.
     """
     parses = _TaskParses(parse_hook)
     condition_table, input_keys = _parse_tables(sources, parses.original)
-    include_files = {k: v for k, v in sources.items() if k != entry} or None
-    patched: dict[str, str] | None = None
+
+    def program(texts: dict[str, str], hook: ParseHook) -> tuple:
+        """(sources, include files, parse hook) of one program."""
+        return texts, {k: v for k, v in texts.items() if k != entry} or None, hook
+
+    original = program(sources, parses.original)
+    patched: tuple | None = None
+    shared: dict | None = {} if database is None and session is None else None
+
+    def run(runnable: tuple, request: HttpRequest) -> tuple[str | None, Exception | None]:
+        """The channel that carried the sentinel (None when none did), or
+        the exception that ended the run."""
+        key = (runnable is original, request_identity(request))
+        if shared is not None and key in shared:
+            return shared[key]
+        texts, files, hook = runnable
+        # A shared database accumulates query_log entries across runs;
+        # scope observation to queries this run issues.
+        log_start = len(database.query_log) if database is not None else 0
+        try:
+            env = run_php(
+                texts[entry],
+                request=request,
+                database=database,
+                files=files,
+                session=session,
+                max_steps=max_steps,
+                filename=entry,
+                parse_hook=hook,
+            )
+        except Exception as exc:  # noqa: BLE001 - degrade, never crash
+            outcome = (None, exc.with_traceback(None))
+        else:
+            outcome = (sentinel_observed(env, sql_log_start=log_start), None)
+        if shared is not None:
+            shared[key] = outcome
+        return outcome
 
     results: list[ReplayResult] = []
     for trace in traces[:max_traces]:
@@ -284,30 +347,15 @@ def replay_counterexamples(
             request=canonical_request(request),
             unsolved=unsolved,
         )
-        # A shared database accumulates query_log entries across runs;
-        # scope observation to queries this run issues.
-        log_start = len(database.query_log) if database is not None else 0
-        try:
-            env = run_php(
-                sources[entry],
-                request=request,
-                database=database,
-                files=include_files,
-                session=session,
-                max_steps=max_steps,
-                filename=entry,
-                parse_hook=parses.original,
-            )
-        except PhpRuntimeError as exc:
-            result.reason = f"interpreter: {exc}"
-            results.append(result)
+        results.append(result)
+        channel, error = run(original, request)
+        if isinstance(error, PhpRuntimeError):
+            result.reason = f"interpreter: {error}"
             continue
-        except Exception as exc:  # noqa: BLE001 - degrade, never crash
-            result.reason = f"{type(exc).__name__}: {exc}"
-            results.append(result)
+        if error is not None:
+            result.reason = f"{type(error).__name__}: {error}"
             continue
 
-        channel = sentinel_observed(env, sql_log_start=log_start)
         if channel is not None:
             result.verdict = "confirmed"
             result.channel = channel
@@ -324,39 +372,21 @@ def replay_counterexamples(
 
         if result.verdict == "confirmed" and grouping is not None:
             if patched is None:
-                patched = _patched_sources(sources, grouping)
-            patched_includes = (
-                {k: v for k, v in patched.items() if k != entry} or None
-            )
-            patched_log_start = (
-                len(database.query_log) if database is not None else 0
-            )
-            try:
-                patched_env = run_php(
-                    patched[entry],
-                    request=request,
-                    database=database,
-                    files=patched_includes,
-                    session=session,
-                    max_steps=max_steps,
-                    filename=entry,
-                    parse_hook=parses.patched,
+                patched = program(
+                    _patched_sources(sources, grouping), parses.patched
                 )
-            except PhpRuntimeError as exc:
+            patched_channel, error = run(patched, request)
+            if isinstance(error, PhpRuntimeError):
                 result.patched = "unsupported"
-                result.reason += f"; patched run: {exc}"
-            except Exception as exc:  # noqa: BLE001
+                result.reason += f"; patched run: {error}"
+            elif error is not None:
                 result.patched = "unsupported"
-                result.reason += f"; patched run: {type(exc).__name__}: {exc}"
+                result.reason += f"; patched run: {type(error).__name__}: {error}"
+            elif patched_channel is None:
+                result.patched = "refuted"
             else:
-                if sentinel_observed(
-                    patched_env, sql_log_start=patched_log_start
-                ) is None:
-                    result.patched = "refuted"
-                else:
-                    result.patched = "confirmed"
-                    result.reason += "; payload SURVIVED the patch"
-        results.append(result)
+                result.patched = "confirmed"
+                result.reason += "; payload SURVIVED the patch"
     return results
 
 

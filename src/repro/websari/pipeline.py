@@ -174,8 +174,8 @@ class WebSSARI:
         #: False measures the pre-incremental baseline in-process.
         self.sat_incremental = sat_incremental
         #: In-memory content-hash parse memo (repro.php.parsecache): each
-        #: file text is parsed once per verifier.  Engine workers receive
-        #: an empty copy inside their WorkerSession and fill their own.
+        #: file text is parsed once per verifier.  Forked engine workers
+        #: inherit it filled; spawned ones unpickle an empty copy.
         self.parse_cache = parse_cache if parse_cache is not None else ParseCache()
         #: Concrete witness replay (repro.replay): re-execute every BMC
         #: counterexample through the interpreter with a synthesized

@@ -1,11 +1,13 @@
-"""Forked workers inherit the replay stage instead of importing it.
+"""Forked workers inherit what the parent already holds.
 
 With replay on, the pool's parent loads ``repro.replay`` (and the
 interpreter it runs) before it forks its first worker, so no worker of
 any run pays that import on its first vulnerable file.  ``import
-repro.cli`` still loads neither, which keeps CLI start-up flat.  Each
-check runs in a fresh interpreter, where nothing has imported the replay
-stage yet.
+repro.cli`` still loads neither, which keeps CLI start-up flat.  Forked
+workers also inherit the parse memo the parent's include scan filled,
+so they parse none of the scanned files again.  Each check runs in a
+fresh interpreter, where nothing has imported the replay stage or
+parsed a file yet.
 """
 
 import json
@@ -97,3 +99,49 @@ def test_cli_import_loads_no_replay_stage():
     loaded = modules_after_import("repro.cli")
     assert "repro.replay" not in loaded
     assert "repro.interp" not in loaded
+
+
+def test_fork_workers_inherit_the_parent_parse_memo(tmp_path):
+    from repro.corpus import FIGURE_10, generate_catalog_project
+
+    generated = generate_catalog_project(FIGURE_10[9], seed=2013)
+    root = tmp_path / "tree"
+    for path in generated.project.paths():
+        target = root / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(generated.project.source(path))
+
+    def audit(name, *options):
+        stream = tmp_path / f"{name}.jsonl"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro", "audit", str(root), "--quiet",
+                "--no-cache", "--cache-dir", str(tmp_path / name),
+                "--replay", "on", "--jsonl", str(stream), *options,
+            ],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            timeout=300,
+        )
+        records = [json.loads(line) for line in stream.read_text().splitlines()]
+        files = [r for r in records if r.get("type") == "file"]
+        assert len(files) == len(generated.project.paths())
+        return files
+
+    def verdicts(files):
+        return {
+            r["filename"]: (r["status"], r["safe"], r["ts_errors"], r["bmc_groups"],
+                            json.dumps(r["replay"], sort_keys=True))
+            for r in files
+        }
+
+    inline = audit("inline", "--jobs", "1")
+    forked = audit("fork", "--jobs", "2", "--start-method", "fork")
+    spawned = audit("spawn", "--jobs", "2", "--start-method", "spawn")
+    scanned = [r for r in forked if "parse_cache_misses" in r["includes"]]
+    assert scanned, "the project must have entries with includes"
+    assert [r["includes"]["parse_cache_misses"] for r in scanned] == [0] * len(scanned)
+    # Spawned workers start with an empty memo and parse again.
+    assert sum(r["includes"].get("parse_cache_misses", 0) for r in spawned) > 0
+    assert verdicts(forked) == verdicts(inline) == verdicts(spawned)
+    assert any(r["safe"] is False for r in forked)

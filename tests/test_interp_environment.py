@@ -1,5 +1,9 @@
 """Tests for the execution environment: request, mock database."""
 
+import random
+
+import pytest
+
 from repro.interp.environment import ExecutionEnvironment, HttpRequest, MockDatabase
 from repro.interp.values import PhpArray
 
@@ -148,6 +152,74 @@ class TestInjectionSemantics:
         db = MockDatabase()
         db.execute("INSERT INTO t VALUES ('a,b', 'c')")
         assert db.tables["t"][0] == {"col0": "a,b", "col1": "c"}
+
+
+def reference_split(sql: str) -> list[str]:
+    """The statement splitter as a plain character loop, with no fast
+    path: the behaviour ``MockDatabase._split_statements`` must keep."""
+    pieces: list[str] = []
+    current = ""
+    quote: str | None = None
+    i = 0
+    while i < len(sql):
+        ch = sql[i]
+        if quote is not None:
+            current += ch
+            if ch == "\\" and i + 1 < len(sql):
+                current += sql[i + 1]
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in ("'", '"'):
+            quote = ch
+            current += ch
+        elif ch == ";":
+            pieces.append(current.strip())
+            current = ""
+        else:
+            current += ch
+        i += 1
+    pieces.append(current.strip())
+    return [p for p in pieces if p]
+
+
+class TestSplitStatements:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "",
+            "   ",
+            "SELECT 1",
+            "  SELECT 1  ",
+            "SELECT 1; SELECT 2",
+            ";;",
+            " ; SELECT 1 ;",
+            "INSERT INTO t VALUES ('a; b')",
+            "INSERT INTO t VALUES ('a; b'); DROP TABLE t",
+            r"INSERT INTO t VALUES ('a\'; DROP TABLE t')",
+            r'SELECT "x\"; y"; SELECT 2',
+            "SELECT 'a\\",
+            "SELECT 1; 'a\\",
+            "SELECT 'unterminated; DROP TABLE t",
+            'SELECT "open; ',
+        ],
+    )
+    def test_listed_shapes_match_the_reference(self, sql):
+        assert MockDatabase._split_statements(sql) == reference_split(sql)
+
+    def test_generated_strings_match_the_reference(self):
+        rng = random.Random(2004)
+        alphabet = ["a", "b", " ", "\t", ";", "'", '"', "\\", "SELECT ", "x = 1"]
+        shapes = {"semicolon": 0, "quoted": 0, "escape": 0, "trailing": 0}
+        for _ in range(4000):
+            sql = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+            assert MockDatabase._split_statements(sql) == reference_split(sql), sql
+            shapes["semicolon"] += ";" in sql
+            shapes["quoted"] += "'" in sql or '"' in sql
+            shapes["escape"] += "\\'" in sql or '\\"' in sql
+            shapes["trailing"] += sql.endswith("\\")
+        assert all(count > 100 for count in shapes.values()), shapes
 
 
 class TestExecutionEnvironment:

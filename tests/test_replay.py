@@ -401,3 +401,100 @@ class TestParseOnce:
             assert "error" not in plain
             replayed += plain["confirmed"]
         assert replayed > 0
+
+
+class TestRunOncePerRequest:
+    """Traces that synthesize the same request share one original run
+    and one patched run, unless the caller shares application state."""
+
+    SOURCE = "<?php echo $_GET['q']; print $_GET['q']; echo 'x' . $_GET['q'];\n"
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Entry texts of every ``run_php`` call the replayer makes."""
+        import repro.replay.replayer as replayer
+
+        calls: list[str] = []
+
+        def spy(source, *args, **kwargs):
+            calls.append(source)
+            return run_php(source, *args, **kwargs)
+
+        monkeypatch.setattr(replayer, "run_php", spy)
+        return calls
+
+    def traces(self):
+        report = WebSSARI().verify_source(self.SOURCE, filename="same.php")
+        traces = report.bmc.all_counterexamples()
+        assert len(traces) >= 3
+        return report, traces
+
+    def test_traces_sharing_a_request_run_two_programs(self, runs):
+        report, traces = self.traces()
+        results = replay_counterexamples(
+            {"same.php": self.SOURCE}, "same.php", traces, report.grouping
+        )
+        assert len({json.dumps(r.request, sort_keys=True) for r in results}) == 1
+        assert [r.verdict for r in results] == ["confirmed"] * len(traces)
+        assert [r.patched for r in results] == ["refuted"] * len(traces)
+        assert len(runs) == 2
+        assert runs[0] == self.SOURCE and runs[1] != self.SOURCE
+
+    def test_results_equal_unshared_runs(self, runs):
+        from repro.interp import MockDatabase
+
+        report, traces = self.traces()
+        shared = replay_counterexamples(
+            {"same.php": self.SOURCE}, "same.php", traces, report.grouping
+        )
+        own = replay_counterexamples(
+            {"same.php": self.SOURCE},
+            "same.php",
+            traces,
+            report.grouping,
+            database=MockDatabase(),
+        )
+        assert [r.to_record() for r in shared] == [r.to_record() for r in own]
+
+    def test_a_shared_database_keeps_one_run_per_trace(self, runs):
+        from repro.interp import MockDatabase
+
+        report, traces = self.traces()
+        results = replay_counterexamples(
+            {"same.php": self.SOURCE},
+            "same.php",
+            traces,
+            report.grouping,
+            database=MockDatabase(),
+        )
+        assert all(r.patched == "refuted" for r in results)
+        assert runs.count(self.SOURCE) == len(traces)
+        assert len(runs) == 2 * len(traces)
+
+    def test_key_order_distinguishes_requests(self, runs, monkeypatch):
+        import repro.replay.replayer as replayer
+        from repro.replay.replayer import canonical_request, request_identity
+
+        source = "<?php foreach ($_GET as $k => $v) { echo $k; } echo $_GET['a'];\n"
+        report = WebSSARI().verify_source(source, filename="order.php")
+        traces = report.bmc.all_counterexamples()[:1] * 2
+        requests = iter(
+            [
+                HttpRequest(get={"a": SENTINEL, "b": SENTINEL}),
+                HttpRequest(get={"b": SENTINEL, "a": SENTINEL}),
+            ]
+        )
+        monkeypatch.setattr(
+            replayer,
+            "synthesize_request",
+            lambda table, keys, trace: (next(requests), []),
+        )
+        results = replay_counterexamples({"order.php": source}, "order.php", traces)
+        assert results[0].request == results[1].request
+        first, second = (
+            HttpRequest(get={"a": "1", "b": "2"}),
+            HttpRequest(get={"b": "2", "a": "1"}),
+        )
+        assert canonical_request(first) == canonical_request(second)
+        assert request_identity(first) != request_identity(second)
+        assert len(runs) == 2
