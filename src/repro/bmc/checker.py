@@ -315,13 +315,11 @@ class BMCChecker:
                 name: generator.branch_value(name, model)
                 for name in self.program.branch_variables
             }
-            violating = [
-                ViolatingVariable(var, generator.level_of(var, model))
-                for var, violation_expr in encoded.per_var_violation.items()
-                if not self.lattice.lt(
-                    generator.level_of(var, model), encoded.event.required
-                )
-            ]
+            violating = []
+            for var in encoded.per_var_violation:
+                level = generator.level_of(var, model)
+                if not self.lattice.lt(level, encoded.event.required):
+                    violating.append(ViolatingVariable(var, level))
             trace = reconstruct_trace(
                 self.program, encoded.event, branch_values, violating
             )

@@ -23,6 +23,17 @@ are rejected at construction with a clear error.
 
 SAT variable naming: branch variables are ``b<k>``; bit *j* of version
 *i* of program variable *v* is ``t_<v>^<i>.<j>``.
+
+Constant folding: the generator keeps one value per (version, bit) —
+a constant, a literal (a variable or its negation), or the named bit
+variable ``t_<v>^<i>.<j>``.  Version 0 is the constant ⊥, and an
+assignment whose bit folds to a constant or a literal (a constant
+assignment, an unguarded copy, ``g ? ⊤ : ⊥``) records that value instead
+of emitting ``t_x^i ⇔ value``.  Only a bit that stays a compound formula
+gets a SAT variable and clauses, so the solver no longer rediscovers by
+unit propagation what the encoder already knew.  The folded formula is
+equivalent over the branch variables, so verdicts and counterexamples
+are those of the unfolded encoding.
 """
 
 from __future__ import annotations
@@ -43,7 +54,10 @@ from repro.sat.cnf import CNF, VariablePool
 from repro.sat.tseitin import (
     FALSE,
     TRUE,
+    Const as BoolConst,
     Expr,
+    Implies,
+    Not,
     Var,
     add_expr_to_cnf,
     conj,
@@ -57,6 +71,62 @@ __all__ = ["LatticeEncoding", "ConstraintGenerator", "EncodedAssertion", "bit_va
 
 def bit_var_name(var: IndexedVar, bit: int) -> str:
     return f"t_{var.name}^{var.index}.{bit}"
+
+
+# -- constant-folding constructors ---------------------------------------------
+#
+# The encoder's values are constants (the TRUE/FALSE singletons), literals
+# (a Var or the Not of one) or compound formulas.  These helpers build the
+# same formulas as ``~``, ``ite`` and ``>>`` but fold what is decidable
+# without a solver.
+
+
+def _literal_key(expr: Expr) -> tuple[str, bool] | None:
+    """``(name, polarity)`` for a literal, None for anything else."""
+    if isinstance(expr, Var):
+        return expr.name, True
+    if isinstance(expr, Not) and isinstance(expr.operand, Var):
+        return expr.operand.name, False
+    return None
+
+
+def _same(a: Expr, b: Expr) -> bool:
+    if a is b:
+        return True
+    key = _literal_key(a)
+    return key is not None and key == _literal_key(b)
+
+
+def _neg(expr: Expr) -> Expr:
+    if expr is TRUE:
+        return FALSE
+    if expr is FALSE:
+        return TRUE
+    if isinstance(expr, Not):
+        return expr.operand
+    return Not(expr)
+
+
+def _ite(cond: Expr, then: Expr, orelse: Expr) -> Expr:
+    if cond is TRUE or _same(then, orelse):
+        return then
+    if cond is FALSE:
+        return orelse
+    if then is TRUE and orelse is FALSE:
+        return cond
+    if then is FALSE and orelse is TRUE:
+        return _neg(cond)
+    return ite(cond, then, orelse)
+
+
+def _implies(antecedent: Expr, consequent: Expr) -> Expr:
+    if antecedent is TRUE:
+        return consequent
+    if consequent is FALSE:
+        return _neg(antecedent)
+    if antecedent is FALSE or consequent is TRUE:
+        return TRUE
+    return Implies(antecedent, consequent)
 
 
 class LatticeEncoding:
@@ -73,6 +143,12 @@ class LatticeEncoding:
                 if lattice.leq(irreducible, element)
             )
         self._check_distributive()
+        # Distributive lattices are determined by their irreducibles, so
+        # the bit sets of distinct elements differ and decoding a model's
+        # bits is a lookup.
+        self._elements: dict[frozenset[int], object] = {
+            bits: element for element, bits in self._bits.items()
+        }
 
     @property
     def width(self) -> int:
@@ -84,6 +160,9 @@ class LatticeEncoding:
 
     def element_of_bits(self, bits: frozenset[int] | set[int]) -> object:
         """Decode a bit set back to the lattice element it represents."""
+        key = frozenset(bits)
+        if key in self._elements:
+            return self._elements[key]
         return self.lattice.join_all(self.irreducibles[j] for j in bits)
 
     def _join_irreducibles(self) -> list[object]:
@@ -137,7 +216,9 @@ class ConstraintGenerator:
         self.encoding = encoding
         self.pool = VariablePool()
         self.cnf = CNF()
-        self._initialized_version0: set[str] = set()
+        #: Folded value of each bit of each assigned version, keyed by
+        #: ``(name, index)``; version 0 is ⊥ and never stored.
+        self._values: dict[tuple[str, int], tuple[Expr, ...]] = {}
         # Reserve branch variables up front so trace reconstruction can
         # always read them from a model.
         for name in program.branch_variables:
@@ -153,18 +234,17 @@ class ConstraintGenerator:
         return conj(literals)
 
     def bit_expr(self, var: IndexedVar, bit: int) -> Expr:
-        if var.index == 0:
-            self._ensure_initial(var.name)
-        return Var(bit_var_name(var, bit))
+        """The recorded value of one bit of ``var``.
 
-    def _ensure_initial(self, name: str) -> None:
-        """Initial condition I(s0): version 0 of every variable is ⊥."""
-        if name in self._initialized_version0:
-            return
-        self._initialized_version0.add(name)
-        for bit in range(self.encoding.width):
-            v = self.pool.named(bit_var_name(IndexedVar(name, 0), bit))
-            self.cnf.add_unit(-v)  # ⊥ has no irreducibles below it
+        Initial condition I(s0): version 0 of every variable is ⊥, whose
+        bits are all 0 (no irreducible lies below ⊥).
+        """
+        values = self._values.get((var.name, var.index))
+        if values is not None:
+            return values[bit]
+        if var.index == 0:
+            return FALSE
+        return Var(bit_var_name(var, bit))
 
     def type_expr_bit(self, expr, bit: int) -> Expr:
         """The boolean expression for one bit of a renamed type expression."""
@@ -181,27 +261,43 @@ class ConstraintGenerator:
     # -- per-event constraints ----------------------------------------------
 
     def assign_constraint(self, event: RenamedAssign) -> Expr:
-        """``t_x^i = g ? ρ(t_e) : t_x^{i-1}`` bit by bit."""
+        """``t_x^i = g ? ρ(t_e) : t_x^{i-1}`` bit by bit.
+
+        Records the folded value of every bit of ``t_x^i``.  A bit that
+        folds to a constant or a literal needs no constraint; any other
+        bit becomes the named variable ``t_x^i.j`` and contributes
+        ``t_x^i.j ⇔ value``.  Returns the conjunction of those (⊤ when
+        every bit folded).
+        """
         guard = self.guard_expr(event.guard)
-        previous = IndexedVar(event.target.name, event.target.index - 1)
+        target = event.target
+        previous = IndexedVar(target.name, target.index - 1)
+        values: list[Expr] = []
         parts: list[Expr] = []
         for bit in range(self.encoding.width):
             new_bit = self.type_expr_bit(event.expr, bit)
-            old_bit = self.bit_expr(previous, bit)
-            value = new_bit if guard is TRUE else ite(guard, new_bit, old_bit)
-            parts.append(iff(self.bit_expr(event.target, bit), value))
+            value = _ite(guard, new_bit, self.bit_expr(previous, bit))
+            if isinstance(value, BoolConst) or _literal_key(value) is not None:
+                values.append(value)
+            else:
+                named = Var(bit_var_name(target, bit))
+                values.append(named)
+                parts.append(iff(named, value))
+        self._values[(target.name, target.index)] = tuple(values)
         return conj(parts)
 
     def var_safe_expr(self, var: IndexedVar, required: object) -> Expr:
         """``t_var < required`` — strict order over the bit encoding."""
         required_bits = self.encoding.bits(required)
+        if not required_bits:
+            return FALSE
         leq = conj(
-            ~self.bit_expr(var, bit)
+            _neg(self.bit_expr(var, bit))
             for bit in range(self.encoding.width)
             if bit not in required_bits
         )
-        strict = disj(~self.bit_expr(var, bit) for bit in sorted(required_bits))
-        return leq & strict if required_bits else FALSE
+        strict = disj(_neg(self.bit_expr(var, bit)) for bit in sorted(required_bits))
+        return conj((leq, strict))
 
     def encode_assertion(self, event: RenamedAssert) -> EncodedAssertion:
         guard = self.guard_expr(event.guard)
@@ -209,22 +305,24 @@ class ConstraintGenerator:
         safes: list[Expr] = []
         for var in event.variables:
             safe = self.var_safe_expr(var, event.required)
-            per_var[var] = ~safe
+            per_var[var] = _neg(safe)
             safes.append(safe)
         all_safe = conj(safes)
-        violation = guard & ~all_safe if guard is not TRUE else ~all_safe
-        holds = guard >> all_safe if guard is not TRUE else all_safe
         return EncodedAssertion(
-            event=event, violation=violation, holds=holds, per_var_violation=per_var
+            event=event,
+            violation=conj((guard, _neg(all_safe))),
+            holds=_implies(guard, all_safe),
+            per_var_violation=per_var,
         )
 
     # -- CNF emission ----------------------------------------------------------
 
     def add_assign(self, event: RenamedAssign) -> None:
-        add_expr_to_cnf(self.assign_constraint(event), self.pool, self.cnf)
+        self.add_expr(self.assign_constraint(event))
 
     def add_expr(self, expr: Expr) -> None:
-        add_expr_to_cnf(expr, self.pool, self.cnf)
+        if expr is not TRUE:
+            add_expr_to_cnf(expr, self.pool, self.cnf)
 
     def gate_for(self, expr: Expr) -> int:
         """Introduce a fresh gate literal equivalent to ``expr``."""
@@ -249,11 +347,22 @@ class ConstraintGenerator:
     # -- model decoding -----------------------------------------------------------
 
     def level_of(self, var: IndexedVar, model: dict[int, bool]) -> object:
-        """Decode a variable's lattice level from a SAT model."""
+        """Decode a variable's lattice level from a SAT model.
+
+        A constant bit is its own value; a literal or a named bit variable
+        is read from the model (a variable the model does not mention is
+        false).
+        """
         bits = set()
         for bit in range(self.encoding.width):
-            name = bit_var_name(var, bit)
-            if self.pool.has_name(name) and model.get(self.pool.var_of(name), False):
+            value = self.bit_expr(var, bit)
+            if isinstance(value, BoolConst):
+                set_bit = value.value
+            else:
+                name, positive = _literal_key(value)
+                truth = self.pool.has_name(name) and model.get(self.pool.var_of(name), False)
+                set_bit = truth == positive
+            if set_bit:
                 bits.add(bit)
         return self.encoding.element_of_bits(bits)
 

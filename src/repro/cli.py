@@ -183,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="SAT backend (dpll is the slow ablation baseline)",
     )
     audit.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="memoize SAT queries by canonical CNF fingerprint, persisted "
-        "under <cache-dir>/sat so repeated code shapes accelerate even "
-        "cold (file-level-miss) runs; independent of --no-cache "
-        "(see docs/SOLVER.md)",
+        "--sat-cache", choices=("on", "off"), default="off",
+        help="opt-in: memoize SAT queries by canonical CNF fingerprint, "
+        "persisted under <cache-dir>/sat; independent of --no-cache. Off by "
+        "default: on the constant-folded formula its hashing and pack I/O "
+        "cost more than the trivial solves it skips (see docs/SOLVER.md)",
     )
     audit.add_argument(
         "--shard", metavar="I/N", default=None,
@@ -275,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="SAT backend (dpll is the slow ablation baseline)",
     )
     watch.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="persistent SAT-query memo under <cache-dir>/sat (see docs/SOLVER.md)",
+        "--sat-cache", choices=("on", "off"), default="off",
+        help="opt-in persistent SAT-query memo under <cache-dir>/sat; off by "
+        "default because it costs more than it saves (see docs/SOLVER.md)",
     )
     watch.add_argument(
         "--start-method", choices=("fork", "spawn"), default=None,
@@ -584,9 +585,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             return 2
 
     websari = _make_websari(args)
-    # Persist SAT query results under the engine's cache root even when
-    # --no-cache disables the file-level result cache: the layers are
-    # independent (see docs/SOLVER.md).
+    # With --sat-cache on, persist SAT query results under the engine's
+    # cache root even when --no-cache disables the file-level result
+    # cache: the layers are independent (see docs/SOLVER.md).
     websari.attach_persistent_sat_cache(args.cache_dir or default_cache_dir())
     files = _collect_entries(args.paths)
     if not files:

@@ -57,8 +57,10 @@ __all__ = [
 #:  8: the ``solver`` record section lost the ``learned_imported``
 #:  counter when learned-clause exchange was deleted.
 #:  9: the ``solver`` record section lost the LBD-deletion and
-#:  racing-backend counters when those mechanisms were deleted.)
-ENGINE_VERSION = "9"
+#:  racing-backend counters when those mechanisms were deleted.
+#:  10: the BMC encoder folds constants, which changes the formula sizes
+#:  and solver counters embedded in records.)
+ENGINE_VERSION = "10"
 
 #: Cache record schema version (independent of verdict semantics).
 _RECORD_VERSION = 1

@@ -69,8 +69,9 @@ __all__ = ["SAT_CACHE_VERSION", "SatQueryCache", "CachingSatSolver"]
 #: (2: learned-clause records joined the keyspace and the CDCL backend
 #: became incremental, which changes the counters embedded in records;
 #: 3: one pack per checked program replaced one file per query, and the
-#: learned-clause records left the keyspace.)
-SAT_CACHE_VERSION = "3"
+#: learned-clause records left the keyspace;
+#: 4: the BMC encoder folds constants, so its canonical CNFs changed.)
+SAT_CACHE_VERSION = "4"
 
 
 class SatQueryCache:

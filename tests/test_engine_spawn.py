@@ -1,9 +1,11 @@
 """Start-method agnosticism: the worker pool must produce identical
-verdicts under fork and spawn, because the analyzer session travels to
-workers as an explicit setup message instead of relying on fork's
-copied address space.  Witness replay rides the same session (the
-``replay`` flag is an attribute of the shipped ``WebSSARI``), so its
-traces and synthesized requests must serialize byte-identically too."""
+verdicts under fork and spawn.  The analyzer session is a process
+argument of each worker: fork workers inherit it, with the parse memo
+the parent's include scan filled, as copied memory, and spawn workers
+unpickle a copy with empty caches.  Witness replay rides the same
+session (the ``replay`` flag is an attribute of the ``WebSSARI`` it
+carries), so its traces and synthesized requests must serialize
+byte-identically too."""
 
 import json
 import multiprocessing

@@ -164,13 +164,15 @@ class TestJsonlDeterminism:
                 continue
             if key == "slow_queries":
                 # The ledger ranks by wall seconds — a timing artifact —
-                # so compare it as an order-free set of scrubbed records.
+                # so compare it as an order-free set of scrubbed records,
+                # sorted on the whole record (the fingerprint is null
+                # without the SAT cache, so no single field is a total key).
                 value = sorted(
                     (
                         {k: v for k, v in q.items() if k not in self.VOLATILE}
                         for q in value
                     ),
-                    key=lambda q: (q.get("fingerprint", ""), q.get("assert_id", 0)),
+                    key=lambda q: json.dumps(q, sort_keys=True),
                 )
             out[key] = value
         return out
