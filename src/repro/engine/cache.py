@@ -164,11 +164,19 @@ class ResultCache:
         return record
 
     def put(self, key: str, record: dict) -> None:
+        """Store ``record`` under ``key``.
+
+        Best-effort: a cache directory that cannot take the write (not a
+        directory, read-only, full) leaves the run uncached, never
+        aborted."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(record)
         payload["record_version"] = _RECORD_VERSION
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        except OSError:
+            return
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps(payload, sort_keys=True))

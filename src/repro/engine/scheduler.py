@@ -9,6 +9,16 @@ Design (persistent workers, pipelined two-deep):
   argument (inherited as memory under fork, pickled under spawn), and fed
   :class:`~repro.engine.worker.AuditTask` objects over duplex pipes, so
   process start-up cost is paid per *pool*, not per file.
+* The pool outlives the run: its idle workers are kept for the next run
+  in the same process (a ``repro watch`` cycle, a library caller's next
+  audit), which reuses them when its pickled verifier, ``jobs``, start
+  method, ``want_reports`` and tracing all match the kept pool's.  Each
+  reused worker first gets the run's session down its pipe, which resets
+  its caches, so its records' parse-cache counters count its own parses
+  (only workers a run forks inherit the include scan's memo); any other
+  run shuts the kept pool down and starts its own.
+  :func:`shutdown_pool` (also registered with :mod:`atexit`) stops the
+  kept workers.
 * Each pipe holds up to :data:`_QUEUE_DEPTH` (2) tasks: while a worker
   computes its current file the next one is already buffered in the
   pipe, hiding the scheduler's wakeup latency (~1.3 ms/task round-trip
@@ -39,8 +49,10 @@ or crash isolation); useful for debugging and on single-core boxes.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from collections import deque
@@ -67,7 +79,7 @@ from repro.sat.solver import MAX_STATS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.websari.pipeline import WebSSARI
 
-__all__ = ["AuditEngine", "EngineConfig", "EngineResult"]
+__all__ = ["AuditEngine", "EngineConfig", "EngineResult", "shutdown_pool"]
 
 #: Statuses whose outcome is a deterministic function of the inputs and
 #: may therefore be cached.
@@ -139,8 +151,10 @@ class EngineConfig:
     #: or None to prefer fork where available (fastest) and fall back to
     #: the platform default.  Fork workers inherit the parent's verifier
     #: and its parse memo; spawn workers get a pickled copy with empty
-    #: caches.  Both methods produce identical verdicts — ``spawn`` is
-    #: the portable escape hatch for hosts without fork.
+    #: caches.  That inheritance holds for the workers a run forks: a
+    #: worker kept from an earlier run gets a pickled copy too.  Both
+    #: methods produce identical verdicts — ``spawn`` is the portable
+    #: escape hatch for hosts without fork.
     start_method: str | None = None
 
     @property
@@ -187,6 +201,91 @@ class _Worker:
     #: (mirrors the worker's session store): later tasks replace those
     #: texts with :class:`FileRef` placeholders.
     shipped: set[str] = field(default_factory=set)
+
+    def discard(self) -> None:
+        """Kill the process (whatever it is doing) and close its pipe."""
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+@dataclass
+class _Pool:
+    """Idle workers one run left alive, kept for a later run whose
+    :meth:`AuditEngine._pool_key` equals ``key``."""
+
+    key: tuple
+    workers: list[_Worker]
+
+
+#: This process's kept pool: at most one, taken by the next pooled run.
+#: Swapped only under ``_kept_lock``, so two engines running in threads
+#: never share workers.
+_kept: _Pool | None = None
+_kept_lock = threading.Lock()
+
+#: Seconds :func:`shutdown_pool` lets workers exit on the sentinel before
+#: it terminates the stragglers.
+_SHUTDOWN_GRACE = 5.0
+
+
+def _send(worker: _Worker, message: object) -> bool:
+    """Send ``message`` down the worker's pipe; False if the pipe is broken."""
+    try:
+        worker.conn.send(message)
+    except OSError:
+        return False
+    return True
+
+
+def _swap_kept(pool: _Pool | None) -> _Pool | None:
+    """Make ``pool`` the kept pool; return the one it replaces."""
+    global _kept
+    with _kept_lock:
+        previous, _kept = _kept, pool
+    return previous
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Send every worker the ``None`` sentinel, join them all within
+    :data:`_SHUTDOWN_GRACE` seconds, and terminate only the stragglers."""
+    for worker in workers:
+        _send(worker, None)
+    deadline = time.monotonic() + _SHUTDOWN_GRACE
+    for worker in workers:
+        worker.process.join(max(0.0, deadline - time.monotonic()))
+    for worker in workers:
+        worker.discard()
+
+
+def shutdown_pool() -> None:
+    """Stop the kept worker pool, if there is one.
+
+    Runs at interpreter exit.  Call it before patching what workers
+    run: a kept worker was forked earlier and never sees the patch.
+    """
+    pool = _swap_kept(None)
+    if pool is not None:
+        _stop(pool.workers)
+
+
+def _keep(key: tuple | None, workers: list[_Worker]) -> None:
+    """Keep ``workers`` as this process's pool for runs keyed ``key``,
+    stopping the pool they displace (and ``workers`` themselves when the
+    key is None)."""
+    if key is None:
+        _stop(workers)
+        workers = []
+    displaced = _swap_kept(_Pool(key, workers) if workers else None)
+    if displaced is not None:
+        _stop(displaced.workers)
+
+
+# atexit runs its hooks last-registered first, and importing
+# ``multiprocessing.connection`` above registered multiprocessing's own
+# exit hook (which terminates daemonic children), so the kept workers
+# get their sentinel before that hook runs.
+atexit.register(shutdown_pool)
 
 
 class AuditEngine:
@@ -443,6 +542,13 @@ class AuditEngine:
             )
         return multiprocessing.get_context(method)
 
+    def _session(self) -> WorkerSession:
+        return WorkerSession(
+            websari=self.websari,
+            want_report=self.config.want_reports,
+            collect_trace=self.config.tracing,
+        )
+
     def _spawn_worker(self, ctx) -> _Worker:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         # The session rides on the process arguments: a forked worker
@@ -450,17 +556,41 @@ class AuditEngine:
         # include scan just filled), a spawned one unpickles a copy whose
         # caches start empty.  Either way the worker runs the same loop
         # and reaches the same verdicts.
-        session = WorkerSession(
-            websari=self.websari,
-            want_report=self.config.want_reports,
-            collect_trace=self.config.tracing,
-        )
         process = ctx.Process(
-            target=_worker_loop, args=(child_conn, session), daemon=True
+            target=_worker_loop, args=(child_conn, self._session()), daemon=True
         )
         process.start()
         child_conn.close()
         return _Worker(process, parent_conn)
+
+    def _pool_key(self, ctx) -> tuple | None:
+        """What a kept pool must match to serve this run; None when the
+        verifier cannot be pickled, so no later run can reset to it."""
+        try:
+            websari = pickle.dumps(self.websari)
+        except Exception:  # noqa: BLE001 - any pickling failure means "not keyable"
+            return None
+        config = self.config
+        return (websari, config.jobs, ctx.get_start_method(), config.want_reports, config.tracing)
+
+    def _take_pool(self, key: tuple | None) -> list[_Worker]:
+        """The kept pool's live workers, reset for this run, when its key
+        is ``key``; otherwise stop the kept pool (if any) and return []."""
+        pool = _swap_kept(None)
+        if pool is None:
+            return []
+        if key is None or pool.key != key:
+            _stop(pool.workers)
+            return []
+        session = self._session()
+        workers = []
+        for worker in pool.workers:
+            if worker.process.is_alive() and _send(worker, session):
+                worker.shipped.clear()
+                workers.append(worker)
+            else:
+                worker.discard()
+        return workers
 
     def _dedupe_for_pipe(
         self, task: AuditTask, shipped: set[str], stats: EngineStats
@@ -509,12 +639,11 @@ class AuditEngine:
             # run on its first vulnerable file.  Spawn workers inherit
             # nothing and import it on first use.
             import repro.replay  # noqa: F401
-        workers: list[_Worker] = []
+        key = self._pool_key(ctx)
+        workers = self._take_pool(key)
 
         def discard(worker: _Worker) -> None:
-            worker.process.terminate()
-            worker.process.join()
-            worker.conn.close()
+            worker.discard()
             workers.remove(worker)
 
         def rearm(worker: _Worker) -> None:
@@ -586,6 +715,11 @@ class AuditEngine:
                     desired = min(config.jobs, len(pending) + busy_count)
                     while len(workers) < desired:
                         workers.append(self._spawn_worker(ctx))
+                        stats.totals.workers_started += 1
+                        if config.metrics is not None:
+                            config.metrics.counter(
+                                "repro_worker_starts_total", "worker processes started"
+                            ).inc()
 
                     # Deal tasks breadth-first: fill every worker's first
                     # slot before buffering a second task behind anyone, so
@@ -646,10 +780,8 @@ class AuditEngine:
                         else:
                             crashed(worker)
         finally:
-            for worker in list(workers):
-                if not worker.inflight and worker.process.is_alive():
-                    try:
-                        worker.conn.send(None)
-                    except (BrokenPipeError, OSError):
-                        pass
+            # Idle live workers are kept for the next run; a worker with a
+            # task still in flight (an interrupted run) or a dead one is not.
+            for worker in [w for w in workers if w.inflight or not w.process.is_alive()]:
                 discard(worker)
+            _keep(key, workers)

@@ -79,6 +79,10 @@ class EngineStats:
         return self.totals.files - self.totals.cache_hits
 
     @property
+    def workers_started(self) -> int:
+        return self.totals.workers_started
+
+    @property
     def stage_seconds(self) -> dict[str, float]:
         return self.totals.stage_seconds
 

@@ -123,7 +123,9 @@ class WorkerSession:
     those files again; under ``spawn`` the session is pickled, which
     drops the caches' contents, and the worker fills its own.  Verdicts
     are identical under both start methods, so workers can live on hosts
-    where fork is unavailable (macOS default, Windows).
+    where fork is unavailable (macOS default, Windows).  A worker kept
+    for a later run receives that run's session down its pipe, pickled
+    like a spawn worker's.
     """
 
     websari: "WebSSARI"
@@ -440,6 +442,12 @@ def _worker_loop(conn, session: WorkerSession) -> None:
     and are rehydrated from a session-local store.  A worker that dies
     mid-task (hard crash, kill, unpicklable result) is detected by the
     scheduler through the broken pipe and replaced with a fresh process.
+
+    The scheduler keeps idle workers between runs.  A later run that
+    reuses one first sends it that run's :class:`WorkerSession` down the
+    pipe: the worker swaps it in (a pickled copy, so its caches start
+    empty, as a spawn worker's do) and empties its store, so nothing
+    cached crosses from one run into the next.
     """
     # The parent coordinates interrupts (drain + trailer): a terminal ^C
     # reaches the whole foreground process group, so workers must not
@@ -461,6 +469,10 @@ def _worker_loop(conn, session: WorkerSession) -> None:
                 return
             if task is None:
                 return
+            if isinstance(task, WorkerSession):
+                session = task
+                store.clear()
+                continue
             try:
                 task = _rehydrate_task(task, store)
             except KeyError as exc:

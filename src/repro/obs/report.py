@@ -108,6 +108,10 @@ class RunTotals:
     includes: dict[str, int] = field(default_factory=dict)
     replay: dict[str, int] = field(default_factory=dict)
     slow_queries: SlowQueryLedger = field(default_factory=SlowQueryLedger)
+    #: Worker processes the engine started: a run-level count that no
+    #: file record carries, summed over stats trailers (0 for a run that
+    #: reused a kept pool or ran inline).
+    workers_started: int = 0
 
     @classmethod
     def of(cls, records: Iterable[Mapping]) -> "RunTotals":
@@ -136,6 +140,11 @@ class RunTotals:
         _add_numbers(self.includes, record.get("includes"))
         self.slow_queries.merge(record.get("slow_queries"))
 
+    def add_trailer(self, trailer: Mapping) -> None:
+        """Fold one stats trailer's run-level counter in."""
+        if _is_number(trailer.get("workers_started")):
+            self.workers_started += int(trailer["workers_started"])
+
     def failures(self) -> dict[str, int]:
         """Files without a verdict, by status."""
         return {
@@ -152,10 +161,11 @@ class RunTotals:
             "cached": self.cache_hits,
         }
 
-    def sections(self) -> dict[str, dict]:
-        """The stage/solver/include/replay sections, as the trailer and
-        ``repro report --json`` carry them."""
+    def sections(self) -> dict:
+        """The stage/solver/include/replay sections and the worker-start
+        count, as the trailer and ``repro report --json`` carry them."""
         return {
+            "workers_started": self.workers_started,
             "stage_seconds": {
                 stage: round(seconds, 6) for stage, seconds in sorted(self.stage_seconds.items())
             },
@@ -188,7 +198,7 @@ class RunTotals:
 
 
 def render_totals(sections: Mapping) -> list[str]:
-    """The stage/solver/include/replay lines ``repro audit`` and
+    """The stage/solver/include/replay/worker lines ``repro audit`` and
     ``repro report`` both print, from :meth:`RunTotals.sections`."""
     lines = []
     stage_seconds = sections.get("stage_seconds") or {}
@@ -237,6 +247,9 @@ def render_totals(sections: Mapping) -> list[str]:
         survived = int(replay.get("patched_confirmed", 0))
         if killed or survived:
             lines.append(f"patched replay: {killed} killed, {survived} survived")
+    workers = int(sections.get("workers_started") or 0)
+    if workers:
+        lines.append(f"workers: {workers} started")
     return lines
 
 
@@ -372,6 +385,7 @@ def summarize_run(run: AuditRun, top: int = 10) -> dict:
     records = list(run.by_filename().values())
     totals = RunTotals.of(records)
     stats = run.stats or {}
+    totals.add_trailer(stats)
     durations = [r["duration"] for r in records if _is_number(r.get("duration"))]
     slowest = sorted(
         (r for r in records if _is_number(r.get("duration"))),

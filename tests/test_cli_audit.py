@@ -193,6 +193,26 @@ class TestAuditCache:
         audit(corpus, "--cache-dir", cache_dir)
         assert "2 hit(s)" in capsys.readouterr().out
 
+    def test_unwritable_cache_leaves_the_run_uncached(self, corpus, tmp_path):
+        # ``objects`` as a regular file cannot take a shard directory: the
+        # audit must finish every file uncached, not abort mid-run.
+        cache_dir = tmp_path / "cachedir"
+        cache_dir.mkdir()
+        (cache_dir / "objects").write_text("not a directory\n")
+
+        def records(*options):
+            stream = tmp_path / f"run{len(list(tmp_path.glob('run*.jsonl')))}.jsonl"
+            code = audit(corpus, "--quiet", "--jsonl", stream, *options)
+            lines = [json.loads(line) for line in stream.read_text().splitlines()]
+            return code, [r for r in lines if r["type"] == "file"], lines[-1]
+
+        code, files, trailer = records("--cache-dir", cache_dir)
+        uncached_code, uncached_files, _ = records("--no-cache")
+        assert code == uncached_code == 1
+        assert len(files) == len(uncached_files) == 3
+        assert all(r["status"] == "ok" and not r["cached"] for r in files)
+        assert trailer["completed"] == 3 and "interrupted" not in trailer
+
 
 class TestAuditSatPacks:
     def test_cold_writes_a_pack_per_file_at_most_and_warm_writes_none(self, corpus, tmp_path):

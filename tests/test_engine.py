@@ -21,6 +21,7 @@ from repro.engine import (
     JsonlSink,
     ResultCache,
 )
+from repro.engine.scheduler import shutdown_pool
 from repro.policy.preludefile import parse_prelude
 from repro.websari.pipeline import WebSSARI
 
@@ -45,7 +46,10 @@ def patch_execute(monkeypatch, special):
     """Route specific filenames to injected behaviours, rest to the real
     pipeline.  Both inline and pool modes resolve ``execute_task``
     through the worker module at call time (and ``fork`` inherits the
-    patch), so one setattr covers everything."""
+    patch), so one setattr covers everything.
+
+    A fork sees only patches made before it, so the kept worker pool is
+    shut down before the patch and again when the test tears it down."""
     real = worker_module.execute_task
 
     def fake(task, websari, want_report=False):
@@ -54,7 +58,15 @@ def patch_execute(monkeypatch, special):
             return action(task, websari, want_report)
         return real(task, websari, want_report)
 
+    shutdown_pool()
     monkeypatch.setattr(worker_module, "execute_task", fake)
+    undo = monkeypatch.undo
+
+    def undo_and_shut_down():
+        shutdown_pool()
+        undo()
+
+    monkeypatch.undo = undo_and_shut_down
 
 
 class TestInline:

@@ -318,6 +318,15 @@ class TestSummarizeRun:
         summary = summarize_run(load_audit(path), top=2)
         assert len(summary["slowest_files"]) == 2
 
+    def test_worker_starts_come_from_the_trailer(self, tmp_path):
+        records = [file_record("a.php"), file_record("b.php")]
+        forked = load_audit(write_stream(tmp_path / "a.jsonl", records, {"workers_started": 2}))
+        reused = load_audit(write_stream(tmp_path / "b.jsonl", records, {"workers_started": 0}))
+        assert summarize_run(forked)["workers_started"] == 2
+        assert "workers: 2 started" in render_report(forked)
+        assert summarize_run(reused)["workers_started"] == 0
+        assert "workers:" not in render_report(reused)
+
 
 def replay_section(confirmed=1, refuted=0, unsupported=0, **extra):
     section = {
