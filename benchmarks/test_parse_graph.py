@@ -1,4 +1,4 @@
-"""PARSE-GRAPH — closure-scoped keys, parse-cache reuse, slice shipping.
+"""PARSE-GRAPH — closure-scoped keys, parse-cache reuse, pooled parses.
 
 The corpus is the shape the include graph was built for: ``N`` small
 entry files all splicing one fat shared prelude (plus one standalone
@@ -9,9 +9,9 @@ leaf that never touches it).  Four contracts, from ISSUE 9:
   that entry; editing the shared prelude re-verifies every includer.
 * **parse reuse** — the verifier's in-memory parse memo parses each
   distinct file once per sweep: the prelude once, not once per entry.
-* **slice shipping** — with ``jobs=2``, the bytes actually written to
-  worker pipes (closure slices + per-worker dedup) beat the historical
-  whole-project-per-task volume by ≥ 5×.
+* **pooled parses** — with ``jobs=2`` each worker scans the entries it
+  verifies, so the run parses each distinct file at most once per
+  worker: at most twice the inline count.
 * **parity** — verdicts and summaries are identical across closure
   slices, pooled workers and whole-project tasks.
 
@@ -30,16 +30,13 @@ from pathlib import Path
 import pytest
 
 from repro import WebSSARI
-from repro.engine import AuditEngine, AuditTask, EngineConfig, ResultCache
-from repro.engine.worker import entry_task
-from repro.php import SourceProject, scan_includes
+from repro.engine import AuditEngine, AuditTask, EngineConfig, EntryTask, ResultCache
+from repro.php import SourceProject
 from repro.php.parsecache import ParseCache
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Entry files splicing the shared prelude.  The shipping ratio is
-#: roughly n_tasks / workers (the prelude dominates both sides), so the
-#: corpus stays large enough for the 5x contract even in smoke mode.
+#: Entry files splicing the shared prelude.
 N_ENTRIES = 10 if SMOKE else 16
 #: Statements in the shared prelude — fat enough that parsing it
 #: dominates the parse stage when repeated once per entry.
@@ -61,24 +58,18 @@ def make_corpus() -> dict[str, str]:
     return files
 
 
-def make_tasks(files: dict[str, str], *, whole_project: bool = False) -> list[AuditTask]:
-    """Build entry tasks the way ``verify_project`` and the watch loop do
-    (:func:`repro.engine.worker.entry_task`), or — for the historical
+def make_tasks(files: dict[str, str], *, whole_project: bool = False) -> list:
+    """Entry tasks the way ``verify_project`` and the watch loop build
+    them (:class:`repro.engine.EntryTask`), or — for the historical
     baseline — one whole-project task per entry."""
-    project = SourceProject(files)
     entries = sorted(files)
     if whole_project:
         return [
             AuditTask(index=i, filename=entry, project_files=dict(files), entry=entry)
             for i, entry in enumerate(entries)
         ]
-    whole: dict = {}
-    tasks = []
-    for i, entry in enumerate(entries):
-        scan = scan_includes(project, entry)
-        assert not scan.widened, "bench corpus must stay statically bounded"
-        tasks.append(entry_task(i, entry, project, scan, whole))
-    return tasks
+    project = SourceProject(files)
+    return [EntryTask(i, entry, entry, project) for i, entry in enumerate(entries)]
 
 
 def sweep(
@@ -148,15 +139,11 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
         f"{memo.misses} parses for {len(files)} distinct files"
     )
 
-    # -- contract: slice shipping beats whole-project shipping ≥ 5× -----
+    # -- contract: each worker parses each distinct file at most once ---
     pooled = sweep(files, jobs=2)
-    shipped = pooled.stats.closure_bytes_shipped
-    whole_project_volume = n_tasks * total_bytes
-    shipping_ratio = whole_project_volume / shipped if shipped else float("inf")
-    assert shipped > 0
-    assert shipping_ratio >= 5.0, (
-        f"closure slices shipped {shipped} bytes; whole-project shipping "
-        f"would be {whole_project_volume} — only {shipping_ratio:.1f}x better"
+    pooled_parses = sum(o.includes["parse_cache_misses"] for o in pooled.outcomes)
+    assert pooled_parses <= 2 * len(files), (
+        f"{pooled_parses} parses over 2 workers for {len(files)} distinct files"
     )
 
     # -- contract: verdict parity across every switch combination -------
@@ -177,11 +164,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
         f"parse stage: {parse_seconds(closure):.3f}s, "
         f"{memo.misses} parses, {memo.hits} memo hits"
     )
-    print(
-        f"shipping: {shipped} bytes over the pipe vs {whole_project_volume} "
-        f"whole-project ({shipping_ratio:.1f}x), "
-        f"{pooled.stats.closure_bytes_deduped} deduped"
-    )
+    print(f"pooled (2 workers): {pooled_parses} parses")
 
     point = {
         "bench": "parse_graph",
@@ -192,9 +175,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
         "prelude_edit_misses": third.stats.cache_misses,
         "parse_seconds": round(parse_seconds(closure), 4),
         "parses": memo.misses,
-        "bytes_shipped": shipped,
-        "bytes_deduped": pooled.stats.closure_bytes_deduped,
-        "shipping_ratio": round(shipping_ratio, 2),
+        "pooled_parses": pooled_parses,
     }
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:

@@ -69,7 +69,7 @@ from repro.websari.htmlreport import render_html_report
 from repro.websari.pipeline import WebSSARI
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.worker import AuditTask
+    from repro.engine.worker import EntryTask
 
 __all__ = ["main", "build_parser"]
 
@@ -434,7 +434,7 @@ def _solver_stats_lines(report) -> list[str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.engine.worker import execute_task
+    from repro.engine.worker import WorkerSession, execute_entry
     from repro.obs import Tracer, get_tracer, set_tracer, write_chrome_trace
 
     websari = _make_websari(args)
@@ -448,10 +448,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         # The same tasks `audit` builds, run one by one in-process; replay
         # (when on) re-executes each entry with its included sources.
-        tasks, _, any_error = _entry_tasks(websari, files)
+        tasks, _, any_error = _entry_tasks(files)
+        session = WorkerSession(websari=websari, want_report=True)
+        wholes: dict = {}
         for task in tasks:
             with get_tracer().span("file", filename=task.filename):
-                outcome = execute_task(task, websari, want_report=True)
+                outcome = execute_entry(task, session, wholes)
+            if outcome.status == "unreadable":
+                print(f"{task.filename}: {outcome.error}", file=sys.stderr)
+                any_error = True
+                continue
             if outcome.status != "ok":
                 kind = outcome.status.replace("-", " ")
                 print(f"{task.filename}: {kind}: {outcome.error}", file=sys.stderr)
@@ -520,48 +526,44 @@ def _tree_project(root: Path, entries: list[Path]) -> TreeProject:
 
 
 def _entry_tasks(
-    websari: WebSSARI,
     files: list[tuple[Path, Path]],
     shard: tuple[int, int] | None = None,
-) -> "tuple[list[AuditTask], int, bool]":
-    """Build the engine task of every ``(file, root)`` entry.
+) -> "tuple[list[EntryTask], int, bool]":
+    """The engine task of every ``(file, root)`` entry.
 
-    Every entry is scanned for includes against its project root and
-    built by ``entry_task``, exactly as ``watch`` and ``verify_project``
-    do; the scan parses through the verifier's memo, and each root
-    shares one whole-project memo for widened entries.  With ``shard``
-    ``(i, n)``, entries whose source hashes to another shard are left
-    out.  Returns the tasks, the number of entries left to other shards,
-    and whether any entry could not be read or scanned (each reported on
-    stderr).
+    Each names its entry and its root's project, exactly as ``watch``
+    and ``verify_project`` do; the process that runs the task scans the
+    entry's includes against that root.  With ``shard`` ``(i, n)``,
+    entries whose source hashes to another shard are left out, which
+    reads each entry here.  Returns the tasks, the number of entries
+    left to other shards, and whether any entry could not be read for
+    its shard (each reported on stderr).
     """
     from repro.engine.sharding import assign_shard
-    from repro.engine.worker import entry_task
-    from repro.php.errors import IncludeError
-    from repro.php.includes import scan_includes
+    from repro.engine.worker import EntryTask
 
     by_root: dict[Path, list[Path]] = {}
     for path, root in files:
         by_root.setdefault(root, []).append(path)
-    projects = {root: (_tree_project(root, paths), {}) for root, paths in by_root.items()}
-    parse = websari.parse_cache.parse
+    projects = {root: _tree_project(root, paths) for root, paths in by_root.items()}
 
-    tasks: list[AuditTask] = []
+    tasks: list[EntryTask] = []
     any_read_error = False
     skipped_other_shards = 0
     for path, root in files:
-        project, whole = projects[root]
+        project = projects[root]
         entry = project.normalize(os.path.relpath(path, root))
-        try:
-            source = project.source(entry)
-            if shard is not None and assign_shard(source, shard[1]) != shard[0]:
+        if shard is not None:
+            try:
+                source = project.source(entry)
+            except OSError as error:
+                print(f"{path}: {error}", file=sys.stderr)
+                any_read_error = True
+                continue
+            if assign_shard(source, shard[1]) != shard[0]:
                 skipped_other_shards += 1
                 continue
-            scan = scan_includes(project, entry, parse_hook=parse)
-            tasks.append(entry_task(len(tasks), str(path), project, scan, whole))
-        except (OSError, IncludeError) as error:
-            print(f"{path}: {error}", file=sys.stderr)
-            any_read_error = True
+        tasks.append(EntryTask(len(tasks), str(path), entry, project))
     return tasks, skipped_other_shards, any_read_error
 
 
@@ -594,7 +596,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print("no PHP files found", file=sys.stderr)
         return 2
 
-    tasks, skipped_other_shards, any_read_error = _entry_tasks(websari, files, shard)
+    tasks, skipped_other_shards, any_read_error = _entry_tasks(files, shard)
     if shard is not None:
         print(
             f"shard {args.shard}: {len(tasks)} of "
@@ -633,6 +635,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             if not args.quiet:
                 print(outcome.detailed if args.detailed else outcome.summary)
                 print()
+        elif outcome.status == "unreadable":
+            print(f"{outcome.filename}: {outcome.error}", file=sys.stderr)
         else:
             detail = (outcome.error or "").splitlines()
             suffix = f": {detail[0]}" if detail else ""
@@ -672,11 +676,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # answered from memory for the daemon's lifetime.
     cache = None if args.no_cache else HotResultCache(cache_root)
     # The include graph is independent of the result cache: reverse-graph
-    # invalidation must work even under --no-cache.
+    # invalidation must work even under --no-cache.  It lives in memory:
+    # the first cycle of every process audits every file anyway.
     from repro.php.parsecache import IncludeGraph
 
-    include_graph = IncludeGraph(cache_root / "include-graph.json")
-    metrics = MetricsRegistry()
+    # Nothing reads the registry unless it is served.
+    metrics = MetricsRegistry() if bind is not None else None
     stop = threading.Event()
     loop = WatchLoop(
         args.root,
@@ -694,7 +699,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         metrics=metrics,
         stop_event=stop,
         quiet=args.quiet,
-        include_graph=include_graph,
+        include_graph=IncludeGraph(),
     )
 
     def _request_stop(signum, frame) -> None:

@@ -15,21 +15,23 @@ and a long-lived verifier + cache pair.  Each cycle:
    ``repro report --diff cycle-A.jsonl cycle-B.jsonl`` between *any* two
    cycles shows exactly the verdict movement in between.
 
-Include-aware invalidation: with an
-:class:`~repro.php.parsecache.IncludeGraph` attached, each cycle scans
-its dirty files' include closures, updates the graph, and adds every
-transitive *includer* of a dirty (or deleted) file to the audit set —
-editing a shared library re-verifies exactly the entries that splice it
-instead of silently leaving them stale.  Files are audited as project
-entries (their closure travels with the task), so cache keys scope to
-what each entry can actually read.
+Include-aware invalidation: with an in-memory
+:class:`~repro.php.parsecache.IncludeGraph` attached, each cycle adds
+every transitive *includer* of a dirty (or deleted) file to the audit
+set — editing a shared library re-verifies exactly the entries that
+splice it instead of silently leaving them stale.  Files are audited as
+project entries (:class:`~repro.engine.worker.EntryTask`): the process
+that verifies an entry scans its include closure first, so cache keys
+scope to what each entry can actually read, and the scan's per-file
+facts come back on the outcome to update the graph.  The graph is never
+written to disk: a new process's first cycle audits every file, which
+rebuilds it.
 
 Graceful shutdown: ``stop_event`` doubles as the engine's
 ``drain_event`` — a SIGINT/SIGTERM mid-cycle lets in-flight files
 finish, marks undispatched ones ``skipped``, and the cycle trailer
 carries ``interrupted: true``.  Caches need no explicit flush (both the
-result cache and the SAT cache write through on every put; the include
-graph snapshot is saved at the end of each dirty cycle).
+result cache and the SAT cache write through on every put).
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.daemon.watcher import TreeWatcher
-from repro.engine import AuditEngine, AuditTask, EngineConfig, EngineResult, JsonlSink
+from repro.engine import AuditEngine, EngineConfig, EngineResult, EntryTask, JsonlSink
 from repro.engine.cache import ResultCache
-from repro.engine.worker import entry_task
 from repro.obs import MetricsRegistry
 from repro.php.errors import IncludeError
 from repro.php.includes import SourceProject, TreeProject, scan_includes
@@ -95,7 +96,7 @@ class WatchLoop:
         self.watcher = TreeWatcher(root, pattern=pattern, debounce=debounce, clock=clock)
         self.websari = websari
         self.cache = cache
-        #: Persisted includer→included edges; None disables reverse-graph
+        #: In-memory includer→included edges; None disables reverse-graph
         #: invalidation (dirty set stays per-file).
         self.include_graph = include_graph
         self.jobs = max(1, jobs)
@@ -169,28 +170,10 @@ class WatchLoop:
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
         project = TreeProject({self._rel(path): path for path in sorted(tracked)})
-        do_parse = self.websari.parse_cache.parse
-        whole: dict = {}
-
-        tasks: list[AuditTask] = []
-        for path in dirty:
-            try:
-                scan = scan_includes(project, self._rel(path), parse_hook=do_parse)
-                task = entry_task(len(tasks), path, project, scan, whole)
-            except (OSError, IncludeError) as exc:
-                # Raced away between poll and read; it will be reported
-                # deleted next poll.  Drop any stale record now.
-                self._records.pop(path, None)
-                self._say(f"watch: {path}: {exc} (skipping this cycle)")
-                continue
-            tasks.append(task)
-            if self.include_graph is not None:
-                for scanned, targets in scan.includes_by_file.items():
-                    self.include_graph.update_file(
-                        scanned, targets, scan.digests.get(scanned)
-                    )
-        if self.include_graph is not None:
-            self.include_graph.save()
+        tasks = [
+            EntryTask(index, path, self._rel(path), project)
+            for index, path in enumerate(dirty)
+        ]
 
         self.cycles += 1
         # The engine observes each file into the long-lived registry as it
@@ -207,8 +190,15 @@ class WatchLoop:
         skipped = [o for o in result.outcomes if o.status == "skipped"]
         interrupted = bool(skipped) or self.stop_event.is_set()
         for outcome in result.outcomes:
+            self._update_graph(project, outcome)
             if outcome.status == "skipped":
                 continue  # keep the last known record, if any
+            if outcome.status == "unreadable":
+                # Raced away between poll and scan; it will be reported
+                # deleted next poll.  Drop any stale record now.
+                self._records.pop(outcome.filename, None)
+                self._say(f"watch: {outcome.filename}: {outcome.error} (skipping this cycle)")
+                continue
             self._records[outcome.filename] = outcome.to_record()
 
         stream_path = self._write_stream(result, interrupted, invalidated)
@@ -249,6 +239,26 @@ class WatchLoop:
             interrupted=interrupted,
             invalidated=invalidated,
         )
+
+    def _update_graph(self, project: TreeProject, outcome) -> None:
+        """Fold the entry scan carried back on ``outcome`` into the include
+        graph.  A worker killed mid-task (timeout, crash) returns no scan,
+        so its entry is scanned here: the graph must still learn what
+        that entry includes."""
+        if self.include_graph is None:
+            return
+        scan = outcome.scan
+        if scan is None and outcome.status in ("timeout", "crash"):
+            try:
+                scan = scan_includes(
+                    project, self._rel(outcome.filename),
+                    parse_hook=self.websari.parse_cache.parse,
+                )
+            except (OSError, IncludeError):
+                return
+        if scan is not None:
+            for path, targets in scan.includes_by_file.items():
+                self.include_graph.update_file(path, targets, scan.digests.get(path))
 
     def _write_stream(
         self, result: EngineResult, interrupted: bool, invalidated: list[str]

@@ -8,6 +8,8 @@ first-class engineered operation instead of a for-loop:
   ``multiprocessing`` worker pool (one process per file, bounded live
   set) with per-file wall-clock timeouts, crash isolation with
   retry-once, and structured error records instead of audit-wide aborts.
+  An :class:`EntryTask` names a project entry; the process that runs it
+  scans its include closure, keys and probes the cache, and verifies.
 * :class:`ResultCache` stores verdicts content-addressed by SHA-256 of
   source + policy fingerprint + engine version, so re-auditing an
   unchanged corpus is pure cache lookups.
@@ -18,14 +20,12 @@ first-class engineered operation instead of a for-loop:
 
 Entry points: the ``repro audit`` CLI subcommand, or::
 
-    from repro.engine import AuditEngine, EngineConfig
-    from repro.engine.worker import entry_task
-    from repro.php import SourceProject, scan_includes
+    from repro.engine import AuditEngine, EngineConfig, EntryTask
+    from repro.php import SourceProject
 
     project = SourceProject({"a.php": "<?php ..."})
-    scan = scan_includes(project, "a.php")
     engine = AuditEngine(config=EngineConfig(jobs=4, timeout=30.0))
-    result = engine.run([entry_task(0, "a.php", project, scan, {})])
+    result = engine.run([EntryTask(0, "a.php", "a.php", project)])
     print(result.stats.summary_lines())
 """
 
@@ -40,7 +40,14 @@ from repro.engine.cache import (
 from repro.engine.jsonl import JsonlSink
 from repro.engine.scheduler import AuditEngine, EngineConfig, EngineResult
 from repro.engine.stats import EngineStats, ProgressPrinter
-from repro.engine.worker import AuditTask, FileOutcome, WorkerSession, execute_task
+from repro.engine.worker import (
+    AuditTask,
+    EntryTask,
+    FileOutcome,
+    WorkerSession,
+    execute_entry,
+    execute_task,
+)
 
 __all__ = [
     "ENGINE_VERSION",
@@ -49,6 +56,7 @@ __all__ = [
     "EngineConfig",
     "EngineResult",
     "EngineStats",
+    "EntryTask",
     "FileOutcome",
     "HotResultCache",
     "JsonlSink",
@@ -57,6 +65,7 @@ __all__ = [
     "WorkerSession",
     "cache_key",
     "default_cache_dir",
+    "execute_entry",
     "execute_task",
     "policy_fingerprint",
 ]

@@ -5,18 +5,24 @@ Design (persistent workers, pipelined two-deep):
 
 * ``jobs`` long-lived worker processes are started once (fork where
   available, or ``spawn`` via :attr:`EngineConfig.start_method`), given
-  their policy as a :class:`~repro.engine.worker.WorkerSession` process
-  argument (inherited as memory under fork, pickled under spawn), and fed
-  :class:`~repro.engine.worker.AuditTask` objects over duplex pipes, so
-  process start-up cost is paid per *pool*, not per file.
+  the run's :class:`~repro.engine.worker.WorkerSession` (policy, options,
+  projects, cache) as a process argument (inherited as memory under fork,
+  pickled under spawn), and fed tasks over duplex pipes, so process
+  start-up cost is paid per *pool*, not per file.
+* An :class:`~repro.engine.worker.EntryTask` names only its project (by
+  slot in the session) and entry: the worker that runs it scans the
+  entry's include closure through its own parse memo, shapes the task,
+  derives its cache key and probes the cache, and verifies on a miss —
+  so a pooled run parses each file at most once per worker, and the
+  parent parses nothing.  At ``jobs <= 1`` the calling process runs the
+  same pipeline.  The parent stays the single cache writer.
 * The pool outlives the run: its idle workers are kept for the next run
   in the same process (a ``repro watch`` cycle, a library caller's next
   audit), which reuses them when its pickled verifier, ``jobs``, start
   method, ``want_reports`` and tracing all match the kept pool's.  Each
   reused worker first gets the run's session down its pipe, which resets
-  its caches, so its records' parse-cache counters count its own parses
-  (only workers a run forks inherit the include scan's memo); any other
-  run shuts the kept pool down and starts its own.
+  its caches, so its records' parse-cache counters count its own parses;
+  any other run shuts the kept pool down and starts its own.
   :func:`shutdown_pool` (also registered with :mod:`atexit`) stops the
   kept workers.
 * Each pipe holds up to :data:`_QUEUE_DEPTH` (2) tasks: while a worker
@@ -37,10 +43,12 @@ Design (persistent workers, pipelined two-deep):
   task once (``crash_retries``), then records it as ``crash``.
 * Results are keyed by task index, so the final outcome list is in input
   order no matter how completion interleaves.
-* With a :class:`~repro.engine.cache.ResultCache` attached, each task's
-  content-addressed key is probed first; hits skip the pool entirely and
-  fresh ``ok``/``frontend-error`` outcomes (the deterministic statuses)
-  are written back.
+* With a :class:`~repro.engine.cache.ResultCache` attached, a shaped
+  :class:`~repro.engine.worker.AuditTask`'s content-addressed key is
+  probed in the parent first (hits skip the pool entirely); an entry
+  task's key is derived and probed where it runs and comes back on its
+  outcome.  Fresh ``ok``/``frontend-error`` outcomes (the deterministic
+  statuses) are written back by the parent.
 
 ``jobs <= 1`` runs tasks inline in the calling process — same outcome
 records and caching, no subprocess machinery (and therefore no timeout
@@ -65,15 +73,15 @@ from repro.engine.jsonl import JsonlSink
 from repro.engine.stats import EngineStats, ProgressPrinter
 from repro.engine.worker import (
     AuditTask,
+    EntryTask,
     FileOutcome,
-    FileRef,
     WorkerSession,
     _worker_loop,
+    cached_outcome,
     safe_execute,
 )
 from repro.obs import MetricsRegistry, Span, Tracer, span_from_dict
-from repro.obs.report import verdict_of
-from repro.php.parsecache import content_digest
+from repro.obs.report import run_timings, verdict_of
 from repro.sat.solver import MAX_STATS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,32 +95,14 @@ _CACHEABLE_STATUSES = frozenset({"ok", "frontend-error"})
 
 _POLL_INTERVAL = 0.05
 
+#: What :meth:`AuditEngine.run` takes: shaped tasks, or project entries
+#: that the executing process scans and shapes itself.
+Task = AuditTask | EntryTask
+
 #: Tasks buffered per worker pipe (1 executing + 1 queued).  Depth 2 is
 #: enough to hide the scheduler round-trip; deeper queues only delay
 #: crash/timeout requeueing without adding overlap.
 _QUEUE_DEPTH = 2
-
-
-def _restamp_filename(outcome: FileOutcome, filename: str) -> None:
-    """Give a cached outcome the filename of the task that hit it.
-
-    Entry tasks key on their project-relative entry, not on the path
-    spelling, so a record cached through one spelling (or one copy of a
-    tree) may serve another.  The filename shows in the record field,
-    the header line both report texts start with, and each slow query's
-    ``file`` stamp; everything else renders under the entry name.
-    """
-    cached = outcome.filename
-    if cached == filename:
-        return
-    outcome.filename = filename
-    header = f"{cached}: "
-    for name in ("summary", "detailed"):
-        text = getattr(outcome, name)
-        if text.startswith(header):
-            setattr(outcome, name, f"{filename}: {text[len(header):]}")
-    for query in outcome.slow_queries:
-        query["file"] = filename
 
 
 @dataclass
@@ -149,12 +139,11 @@ class EngineConfig:
     drain_event: threading.Event | None = None
     #: Multiprocessing start method for the pool: ``"fork"``, ``"spawn"``,
     #: or None to prefer fork where available (fastest) and fall back to
-    #: the platform default.  Fork workers inherit the parent's verifier
-    #: and its parse memo; spawn workers get a pickled copy with empty
-    #: caches.  That inheritance holds for the workers a run forks: a
-    #: worker kept from an earlier run gets a pickled copy too.  Both
-    #: methods produce identical verdicts — ``spawn`` is the portable
-    #: escape hatch for hosts without fork.
+    #: the platform default.  Fork workers inherit the parent's session;
+    #: spawn workers, and workers kept from an earlier run, get a pickled
+    #: copy with empty caches.  Every worker parses the closures it scans
+    #: itself, so both methods produce identical verdicts — ``spawn`` is
+    #: the portable escape hatch for hosts without fork.
     start_method: str | None = None
 
     @property
@@ -194,13 +183,9 @@ class _Worker:
 
     process: multiprocessing.process.BaseProcess
     conn: connection.Connection
-    inflight: deque[tuple[AuditTask, int]] = field(default_factory=deque)
+    inflight: deque[tuple[Task, int]] = field(default_factory=deque)
     started: float = 0.0
     deadline: float | None = None
-    #: Content digests of project-file texts already sent down this pipe
-    #: (mirrors the worker's session store): later tasks replace those
-    #: texts with :class:`FileRef` placeholders.
-    shipped: set[str] = field(default_factory=set)
 
     def discard(self) -> None:
         """Kill the process (whatever it is doing) and close its pipe."""
@@ -288,6 +273,15 @@ def _keep(key: tuple | None, workers: list[_Worker]) -> None:
 atexit.register(shutdown_pool)
 
 
+def _projects(tasks: list[Task]) -> tuple:
+    """The distinct projects of the run's entry tasks, in first-seen order."""
+    seen: dict[int, object] = {}
+    for task in tasks:
+        if isinstance(task, EntryTask):
+            seen.setdefault(id(task.project), task.project)
+    return tuple(seen.values())
+
+
 class AuditEngine:
     """Batch verifier: give it tasks, get ordered outcomes + stats."""
 
@@ -301,7 +295,7 @@ class AuditEngine:
 
     # -- public API ---------------------------------------------------------
 
-    def run(self, tasks: list[AuditTask]) -> EngineResult:
+    def run(self, tasks: list[Task]) -> EngineResult:
         config = self.config
         stats = EngineStats(total=len(tasks))
         progress = ProgressPrinter(total=len(tasks), enabled=config.progress)
@@ -311,12 +305,13 @@ class AuditEngine:
         run_span = tracer.span("audit", files=len(tasks), jobs=config.jobs) if tracer else None
 
         keys: dict[int, str] = {}
-        pending: deque[tuple[AuditTask, int]] = deque()
-        if config.cache is not None:
-            policy_fp = policy_fingerprint(self.websari)
+        pending: deque[tuple[Task, int]] = deque()
+        policy_fp = policy_fingerprint(self.websari) if config.cache is not None else None
+        if policy_fp is not None:
             for task in tasks:
-                material, extra = task.cache_material()
-                keys[task.index] = cache_key(material, policy_fp, extra)
+                if isinstance(task, AuditTask):
+                    material, extra = task.cache_material()
+                    keys[task.index] = cache_key(material, policy_fp, extra)
 
         completed = False
         if run_span is not None:
@@ -330,9 +325,11 @@ class AuditEngine:
                     pending.append((task, 1))
             try:
                 if config.jobs <= 1:
-                    self._run_inline(pending, stats, progress, outcomes, keys)
+                    session = self._session(policy_fp, inline=True)
+                    self._run_inline(session, pending, stats, progress, outcomes, keys)
                 else:
-                    self._run_pool(pending, stats, progress, outcomes, keys)
+                    session = self._session(policy_fp, projects=_projects(tasks))
+                    self._run_pool(session, pending, stats, progress, outcomes, keys)
             finally:
                 progress.close()
             completed = True
@@ -354,37 +351,32 @@ class AuditEngine:
 
     # -- cache --------------------------------------------------------------
 
-    def _probe_cache(self, task: AuditTask, keys: dict[int, str]) -> FileOutcome | None:
+    def _probe_cache(self, task: Task, keys: dict[int, str]) -> FileOutcome | None:
+        """A shaped task's cache hit, probed before dispatch (an entry
+        task probes where it runs)."""
         config = self.config
-        if config.cache is None or config.want_reports:
+        key = keys.get(task.index)
+        if key is None or config.cache is None or config.want_reports:
             return None
-        record = config.cache.get(keys[task.index])
-        if record is None:
-            return None
-        outcome = FileOutcome.from_record(record)
-        _restamp_filename(outcome, task.filename)
-        outcome.cached = True
-        outcome.cache_key = keys[task.index]
-        outcome.timings = {}
-        outcome.duration = 0.0
-        outcome.attempts = 0
-        return outcome
+        record = config.cache.get(key)
+        return None if record is None else cached_outcome(record, task.filename, key)
 
     def _finalize(
         self,
         outcome: FileOutcome,
-        task: AuditTask,
+        task: Task,
         stats: EngineStats,
         progress: ProgressPrinter,
         outcomes: dict[int, FileOutcome],
         keys: dict[int, str],
     ) -> None:
         config = self.config
-        key = keys.get(task.index)
-        if key is not None:
+        # A shaped task's key was derived here; an entry task's comes
+        # back on its outcome from the process that scanned it.
+        key = keys.get(task.index, outcome.cache_key)
+        if key is not None and config.cache is not None:
             outcome.cache_key = key
             if not outcome.cached and outcome.status in _CACHEABLE_STATUSES:
-                assert config.cache is not None
                 config.cache.put(key, outcome.to_record())
         outcomes[task.index] = outcome
         stats.record(outcome)
@@ -458,18 +450,17 @@ class AuditEngine:
         metrics.histogram(
             "repro_file_seconds", "end-to-end wall seconds per file"
         ).observe(outcome.duration)
-        if outcome.cached:
-            return
         stage_counter = metrics.counter(
             "repro_stage_seconds_total", "worker CPU seconds by pipeline stage"
         )
         stage_histogram = metrics.histogram(
             "repro_stage_seconds", "per-file wall seconds by pipeline stage"
         )
-        for stage, seconds in outcome.timings.items():
-            if isinstance(seconds, (int, float)):
-                stage_counter.inc(float(seconds), stage=stage)
-                stage_histogram.observe(float(seconds), stage=stage)
+        for stage, seconds in run_timings(vars(outcome)).items():
+            stage_counter.inc(seconds, stage=stage)
+            stage_histogram.observe(seconds, stage=stage)
+        if outcome.cached:
+            return
         solver_counter = metrics.counter(
             "repro_solver_events_total", "aggregated SAT-solver counters"
         )
@@ -516,15 +507,14 @@ class AuditEngine:
 
     # -- inline execution ---------------------------------------------------
 
-    def _run_inline(self, pending, stats, progress, outcomes, keys) -> None:
+    def _run_inline(self, session, pending, stats, progress, outcomes, keys) -> None:
+        wholes: dict[int, dict] = {}
         while pending:
             if self.config.draining:
                 self._skip_pending(pending, stats, progress, outcomes, keys)
                 return
             task, attempt = pending.popleft()
-            outcome = safe_execute(
-                task, self.websari, self.config.want_reports, self.config.tracing
-            )
+            outcome = safe_execute(task, session, wholes)
             outcome.attempts = attempt
             self._finalize(outcome, task, stats, progress, outcomes, keys)
 
@@ -542,22 +532,35 @@ class AuditEngine:
             )
         return multiprocessing.get_context(method)
 
-    def _session(self) -> WorkerSession:
+    def _session(
+        self,
+        policy_fp: str | None,
+        projects: tuple = (),
+        inline: bool = False,
+    ) -> WorkerSession:
+        """The run's session.  Inline, entry tasks probe the configured
+        cache itself (a hot layer included); a worker probes the same
+        directory through a plain disk cache."""
+        cache = None if self.config.want_reports else self.config.cache
+        if cache is not None and not inline:
+            cache = ResultCache(cache.root)
         return WorkerSession(
             websari=self.websari,
             want_report=self.config.want_reports,
             collect_trace=self.config.tracing,
+            projects=projects,
+            policy_fp=policy_fp,
+            cache=cache,
         )
 
-    def _spawn_worker(self, ctx) -> _Worker:
+    def _spawn_worker(self, ctx, session: WorkerSession) -> _Worker:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         # The session rides on the process arguments: a forked worker
-        # inherits it as memory (the verifier with the parse memo the
-        # include scan just filled), a spawned one unpickles a copy whose
+        # inherits it as memory, a spawned one unpickles a copy whose
         # caches start empty.  Either way the worker runs the same loop
         # and reaches the same verdicts.
         process = ctx.Process(
-            target=_worker_loop, args=(child_conn, self._session()), daemon=True
+            target=_worker_loop, args=(child_conn, session), daemon=True
         )
         process.start()
         child_conn.close()
@@ -573,8 +576,8 @@ class AuditEngine:
         config = self.config
         return (websari, config.jobs, ctx.get_start_method(), config.want_reports, config.tracing)
 
-    def _take_pool(self, key: tuple | None) -> list[_Worker]:
-        """The kept pool's live workers, reset for this run, when its key
+    def _take_pool(self, key: tuple | None, session: WorkerSession) -> list[_Worker]:
+        """The kept pool's live workers, reset to ``session``, when its key
         is ``key``; otherwise stop the kept pool (if any) and return []."""
         pool = _swap_kept(None)
         if pool is None:
@@ -582,55 +585,15 @@ class AuditEngine:
         if key is None or pool.key != key:
             _stop(pool.workers)
             return []
-        session = self._session()
         workers = []
         for worker in pool.workers:
             if worker.process.is_alive() and _send(worker, session):
-                worker.shipped.clear()
                 workers.append(worker)
             else:
                 worker.discard()
         return workers
 
-    def _dedupe_for_pipe(
-        self, task: AuditTask, shipped: set[str], stats: EngineStats
-    ) -> AuditTask:
-        """Build the pipe payload for ``task``: project-file texts this
-        worker has already received become :class:`FileRef` digests.
-
-        With closure-sliced tasks this makes a shared prelude cross each
-        pipe once per worker session — per-task pickle volume drops from
-        O(project) to O(unseen bytes).  The caller keeps the original
-        task in ``inflight``; only the payload is stripped.
-        """
-        if task.project_files is None:
-            return task
-        payload: dict[str, object] = {}
-        sent = 0
-        deduped = 0
-        for path, text in task.project_files.items():
-            digest = content_digest(text)
-            if digest in shipped:
-                payload[path] = FileRef(digest)
-                deduped += len(text)
-            else:
-                shipped.add(digest)
-                payload[path] = text
-                sent += len(text)
-        stats.closure_bytes_shipped += sent
-        stats.closure_bytes_deduped += deduped
-        if self.config.metrics is not None:
-            counter = self.config.metrics.counter(
-                "repro_closure_bytes_shipped_total",
-                "project-slice bytes sent to workers, by pipe outcome",
-            )
-            if sent:
-                counter.inc(sent, result="sent")
-            if deduped:
-                counter.inc(deduped, result="deduped")
-        return replace(task, project_files=payload)  # type: ignore[arg-type]
-
-    def _run_pool(self, pending, stats, progress, outcomes, keys) -> None:
+    def _run_pool(self, session, pending, stats, progress, outcomes, keys) -> None:
         config = self.config
         ctx = self._mp_context()
         if self.websari.replay and ctx.get_start_method() == "fork":
@@ -640,7 +603,14 @@ class AuditEngine:
             # nothing and import it on first use.
             import repro.replay  # noqa: F401
         key = self._pool_key(ctx)
-        workers = self._take_pool(key)
+        workers = self._take_pool(key, session)
+        slots = {id(project): slot for slot, project in enumerate(session.projects)}
+
+        def payload(task: Task) -> Task:
+            """An entry task goes down a pipe naming its project's slot."""
+            if isinstance(task, EntryTask):
+                return replace(task, project=slots[id(task.project)])
+            return task
 
         def discard(worker: _Worker) -> None:
             worker.discard()
@@ -714,7 +684,7 @@ class AuditEngine:
                     busy_count = sum(1 for w in workers if w.inflight)
                     desired = min(config.jobs, len(pending) + busy_count)
                     while len(workers) < desired:
-                        workers.append(self._spawn_worker(ctx))
+                        workers.append(self._spawn_worker(ctx, session))
                         stats.totals.workers_started += 1
                         if config.metrics is not None:
                             config.metrics.counter(
@@ -735,16 +705,11 @@ class AuditEngine:
                                 continue
                             task, attempt = pending.popleft()
                             was_idle = not worker.inflight
-                            # inflight keeps the ORIGINAL task: a requeue
-                            # to a fresh worker (empty store) must re-ship
-                            # full texts, not dangling FileRefs.
                             worker.inflight.append((task, attempt))
                             if was_idle:
                                 rearm(worker)
                             try:
-                                worker.conn.send(
-                                    self._dedupe_for_pipe(task, worker.shipped, stats)
-                                )
+                                worker.conn.send(payload(task))
                             except (BrokenPipeError, OSError):
                                 crashed(worker)
 

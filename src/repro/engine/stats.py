@@ -3,8 +3,8 @@
 The paper's evaluation is a corpus sweep (230 projects, ~1.1M
 statements); at that scale the sweep itself needs instruments.  Every
 file outcome feeds an :class:`EngineStats` accumulator, whose run
-totals — verdict tallies, cache hits, per-stage (parse / filter / AI /
-SAT / replay) time, solver, include and replay counters — are the one
+totals — verdict tallies, cache hits, per-stage (scan / parse / filter /
+AI / SAT / replay) time, solver, include and replay counters — are the one
 fold :class:`~repro.obs.report.RunTotals` that ``repro report`` also
 reads; a :class:`ProgressPrinter` keeps one live status line on a
 terminal while the pool drains.
@@ -45,10 +45,6 @@ class EngineStats:
     total: int = 0
     retries: int = 0
     wall_seconds: float = 0.0
-    #: Project-slice bytes actually sent down worker pipes this run, and
-    #: bytes avoided because the pipe's worker already held the content.
-    closure_bytes_shipped: int = 0
-    closure_bytes_deduped: int = 0
     #: Every outcome folded by the one record rule (see ``RunTotals``):
     #: cache hits count toward verdicts and replay, never toward stage
     #: time, solver or include counters or slow queries.
@@ -127,8 +123,6 @@ class EngineStats:
             "retries": self.retries,
             "wall_seconds": round(self.wall_seconds, 6),
             **self.totals.sections(),
-            "closure_bytes_shipped": self.closure_bytes_shipped,
-            "closure_bytes_deduped": self.closure_bytes_deduped,
             "other_statuses": self.other_statuses,
             "slow_queries": self.totals.slow_queries.records(),
         }
@@ -149,11 +143,6 @@ class EngineStats:
         if self.retries:
             lines.append(f"retries: {self.retries}")
         lines.extend(render_totals(self.totals.sections()))
-        if self.closure_bytes_shipped or self.closure_bytes_deduped:
-            lines.append(
-                f"closure shipping: {self.closure_bytes_shipped} byte(s) sent, "
-                f"{self.closure_bytes_deduped} byte(s) deduped"
-            )
         if self.totals.slow_queries:
             top = self.totals.slow_queries.records()[0]
             lines.append(

@@ -1,11 +1,14 @@
 """Per-file audit work unit: the code that runs inside a worker process.
 
-A :class:`AuditTask` describes one verification job — either a standalone
-source file or one entry point of a multi-file project (include
-resolution then happens inside the worker); :func:`entry_task` builds
-one from an include scan.  :func:`execute_task` runs the WebSSARI
-pipeline (:meth:`~repro.websari.pipeline.WebSSARI.verify_file`), whose
-stage spans also fill the outcome's timings, and always returns a
+An :class:`EntryTask` names one entry of a project; :func:`execute_entry`
+runs it where it is scheduled — the calling process at ``--jobs 1``, a
+pool worker at ``--jobs N`` — as one pipeline: scan the entry's include
+closure through that process's parse memo (the ``scan`` stage), shape
+the :class:`AuditTask` with :func:`entry_task`, derive its cache key,
+probe the result cache, and verify on a miss with the closure's parses
+already in the memo.  :func:`execute_task` runs the WebSSARI pipeline
+(:meth:`~repro.websari.pipeline.WebSSARI.verify_file`) on a shaped task,
+whose stage spans also fill the outcome's timings.  Both always return a
 :class:`FileOutcome` — exceptions become structured error records rather
 than aborting the batch.
 
@@ -13,7 +16,8 @@ Everything crossing the process boundary (task in, outcome out) is
 picklable; the outcome additionally round-trips through JSON
 (``to_record``/``from_record``) so it can live in the result cache and
 the JSONL sink.  The full :class:`VerificationReport` object is attached
-only when ``want_report`` is set (used by ``verify_project``) and is
+only when ``want_report`` is set (used by ``verify_project``), and the
+entry's include scan only for the caller's include graph; both are
 deliberately excluded from the JSON record.
 """
 
@@ -26,10 +30,10 @@ import traceback
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
+from repro.engine.cache import ResultCache, cache_key
 from repro.obs import Tracer, set_tracer, stage
-from repro.php.errors import FrontendError
-from repro.php.includes import SourceProject
-from repro.php.parsecache import content_digest
+from repro.php.errors import FrontendError, IncludeError
+from repro.php.includes import SourceProject, scan_includes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.php.includes import IncludeScan
@@ -37,10 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AuditTask",
+    "EntryTask",
     "FileOutcome",
-    "FileRef",
     "WorkerSession",
     "entry_task",
+    "execute_entry",
     "execute_task",
     "project_content_digest",
 ]
@@ -97,32 +102,17 @@ def entry_task(
 
 
 @dataclass(frozen=True)
-class FileRef:
-    """Stand-in for a project file the worker already holds.
-
-    The scheduler replaces file texts it has previously shipped down the
-    same pipe with these (keyed by content digest); the worker keeps a
-    per-session ``digest → text`` store and rehydrates tasks on receipt.
-    This cuts per-task pickle volume from O(project) to O(new bytes) —
-    a shared prelude crosses each pipe once per session, not once per
-    entry.
-    """
-
-    digest: str
-
-
-@dataclass(frozen=True)
 class WorkerSession:
-    """What a worker process needs besides its tasks: the policy (the
+    """What an executing process needs besides its tasks: the policy (the
     :class:`~repro.websari.pipeline.WebSSARI` instance with its prelude,
-    lattice, solver options and parse memo) and the run options.
+    lattice, solver options and parse memo), the run options, and the
+    run's projects and cache.
 
-    It is an argument of the worker process.  Under ``fork`` the worker
-    inherits the parent's session as memory, so it starts with the
-    verifier's parse memo as the include scan left it and parses none of
-    those files again; under ``spawn`` the session is pickled, which
-    drops the caches' contents, and the worker fills its own.  Verdicts
-    are identical under both start methods, so workers can live on hosts
+    It is an argument of a worker process.  Under ``fork`` the worker
+    inherits the parent's session as memory; under ``spawn`` the session
+    is pickled, which drops the caches' contents.  Either way the worker
+    fills its own parse memo with the closures it scans, so verdicts are
+    identical under both start methods, and workers can live on hosts
     where fork is unavailable (macOS default, Windows).  A worker kept
     for a later run receives that run's session down its pipe, pickled
     like a spawn worker's.
@@ -131,6 +121,35 @@ class WorkerSession:
     websari: "WebSSARI"
     want_report: bool = False
     collect_trace: bool = False
+    #: The run's projects, by slot: an :class:`EntryTask` on a worker
+    #: pipe names its project by index here, so each project crosses
+    #: each pipe at most once per run, with the session.  A
+    #: :class:`~repro.php.includes.TreeProject` travels as its path map.
+    projects: tuple[SourceProject, ...] = ()
+    #: The policy fingerprint entry tasks key on (None: the run keeps no
+    #: cache, so no key is derived) and the result cache they probe,
+    #: read-only — the scheduler is the single writer.  No cache is
+    #: probed when reports are wanted: a record cannot rebuild one.
+    policy_fp: str | None = None
+    cache: ResultCache | None = None
+
+
+@dataclass(frozen=True)
+class EntryTask:
+    """One entry of a project, named but not yet scanned.
+
+    The process that runs it scans its include closure and shapes the
+    :class:`AuditTask` (:func:`execute_entry`), so the closure is parsed
+    once, where it is verified.
+    """
+
+    index: int
+    filename: str
+    #: The entry's project-relative path.
+    entry: str
+    #: The project.  On a worker pipe: the project's slot in
+    #: :attr:`WorkerSession.projects` instead.
+    project: "SourceProject | int"
 
 
 @dataclass(frozen=True)
@@ -156,8 +175,8 @@ class AuditTask:
     #: then carries the whole project and keys on ``project_digest``.
     closure_widened: bool = False
     #: Precomputed whole-project content digest for widened tasks (the
-    #: scheduler computes it once per run instead of re-joining the full
-    #: project per entry).
+    #: executing process computes it once per run instead of re-joining
+    #: the full project per entry).
     project_digest: str | None = None
 
     def cache_material(self) -> tuple[str, str]:
@@ -218,8 +237,9 @@ class FileOutcome:
     #: Include-layer facts for project entries: ``edges`` (direct
     #: includer→included edges seen while splicing), ``included_files``,
     #: ``unresolved`` (dynamic include paths), and the
-    #: ``parse_cache_hits``/``parse_cache_misses`` deltas for this task.
-    #: Empty for standalone tasks.
+    #: ``parse_cache_hits``/``parse_cache_misses`` deltas for this task
+    #: (an entry task's include scan adds its own).  Empty for a shaped
+    #: standalone task run on its own.
     includes: dict = field(default_factory=dict)
     #: Concrete witness replay results (``repro.replay``): per-trace
     #: verdicts plus confirmed/refuted/unsupported counts and the
@@ -238,6 +258,9 @@ class FileOutcome:
     #: Full report object (pickled across the process boundary, never
     #: JSON-serialized); present only when the caller asked for it.
     report: "VerificationReport | None" = None
+    #: The entry's include scan, for the caller's include graph.  Set on
+    #: every outcome whose scan finished; never JSON-serialized.
+    scan: "IncludeScan | None" = None
 
     _RECORD_FIELDS = (
         "filename",
@@ -271,7 +294,7 @@ class FileOutcome:
 
     @classmethod
     def from_record(cls, record: dict) -> "FileOutcome":
-        known = {f.name for f in fields(cls)} - {"report"}
+        known = {f.name for f in fields(cls)} - {"report", "scan"}
         kwargs = {k: v for k, v in record.items() if k in known}
         return cls(**kwargs)
 
@@ -375,25 +398,124 @@ def _run_stages(
     )
 
 
-def safe_execute(
-    task: AuditTask,
-    websari: "WebSSARI",
-    want_report: bool,
-    collect_trace: bool = False,
-) -> FileOutcome:
-    """``execute_task`` with a last-resort catch: even a bug in the
-    executor itself must yield a structured record, not an abort.
+def restamp_filename(outcome: FileOutcome, filename: str) -> None:
+    """Give a cached outcome the filename of the task that hit it.
 
-    With ``collect_trace``, a fresh enabled tracer is installed for the
-    duration of the task and the finished span trees (the stage spans
-    and everything the pipeline nested under them) are serialized onto
-    ``outcome.trace`` for the scheduler to stitch.
+    Entry tasks key on their project-relative entry, not on the path
+    spelling, so a record cached through one spelling (or one copy of a
+    tree) may serve another.  The filename shows in the record field,
+    the header line both report texts start with, and each slow query's
+    ``file`` stamp; everything else renders under the entry name.
     """
-    tracer = Tracer(enabled=True) if collect_trace else None
+    cached = outcome.filename
+    if cached == filename:
+        return
+    outcome.filename = filename
+    header = f"{cached}: "
+    for name in ("summary", "detailed"):
+        text = getattr(outcome, name)
+        if text.startswith(header):
+            setattr(outcome, name, f"{filename}: {text[len(header):]}")
+    for query in outcome.slow_queries:
+        query["file"] = filename
+
+
+def cached_outcome(record: dict, filename: str, key: str) -> FileOutcome:
+    """The outcome a result-cache hit stands for: the stored record under
+    the hitting task's filename, with no stage time of this run."""
+    outcome = FileOutcome.from_record(record)
+    restamp_filename(outcome, filename)
+    outcome.cached = True
+    outcome.cache_key = key
+    outcome.timings = {}
+    outcome.duration = 0.0
+    outcome.attempts = 0
+    return outcome
+
+
+def execute_entry(
+    task: EntryTask, session: WorkerSession, wholes: dict[int, dict] | None = None
+) -> FileOutcome:
+    """Scan, shape, key, probe and verify one project entry.
+
+    The ``scan`` stage walks the entry's include closure through the
+    verifier's parse memo and shapes the task by :func:`entry_task`; its
+    parse hits and misses join the record's ``includes`` counters, and
+    the scan itself rides on :attr:`FileOutcome.scan`.  An entry
+    that cannot be read or scanned (deleted, permission lost) becomes an
+    ``unreadable`` outcome.  With a cache fingerprint in the session the
+    key is derived from the shaped task, and the cache is probed (read
+    only): a hit carries the scan's timing and nothing else of this run.
+    A miss is verified by :func:`execute_task` with the closure's parses
+    already in the memo.  ``wholes`` is the caller's per-run memo of
+    whole-project snapshots for widened entries, keyed by project id.
+    """
+    project = task.project
+    assert isinstance(project, SourceProject)
+    websari = session.websari
+    memo = websari.parse_cache
+    timings: dict[str, float] = {}
+    started = time.perf_counter()
+    hits, misses = memo.hits, memo.misses
+    try:
+        with stage("scan", timings):
+            scan = scan_includes(project, task.entry, parse_hook=memo.parse)
+            whole = {} if wholes is None else wholes.setdefault(id(project), {})
+            shaped = entry_task(task.index, task.filename, project, scan, whole)
+    except (OSError, IncludeError) as exc:
+        return FileOutcome(
+            filename=task.filename,
+            status="unreadable",
+            error=str(exc),
+            duration=time.perf_counter() - started,
+        )
+    scan_hits, scan_misses = memo.hits - hits, memo.misses - misses
+
+    key = None
+    record = None
+    if session.policy_fp is not None:
+        material, extra = shaped.cache_material()
+        key = cache_key(material, session.policy_fp, extra)
+        if session.cache is not None:
+            record = session.cache.get(key)
+    if record is not None:
+        outcome = cached_outcome(record, task.filename, key)
+        outcome.timings = timings
+    else:
+        outcome = execute_task(shaped, websari, session.want_report)
+        outcome.timings = {**timings, **outcome.timings}
+        includes = outcome.includes
+        includes["parse_cache_hits"] = includes.get("parse_cache_hits", 0) + scan_hits
+        includes["parse_cache_misses"] = includes.get("parse_cache_misses", 0) + scan_misses
+        outcome.cache_key = key
+    outcome.scan = scan
+    outcome.duration = time.perf_counter() - started
+    return outcome
+
+
+def safe_execute(
+    task: "AuditTask | EntryTask",
+    session: WorkerSession,
+    wholes: dict[int, dict] | None = None,
+) -> FileOutcome:
+    """Run ``task`` (an :class:`EntryTask` through :func:`execute_entry`,
+    an :class:`AuditTask` through :func:`execute_task`) with a
+    last-resort catch: even a bug in the executor itself must yield a
+    structured record, not an abort.
+
+    With ``session.collect_trace``, a fresh enabled tracer is installed
+    for the duration of the task and the finished span trees (the stage
+    spans and everything the pipeline nested under them) are serialized
+    onto ``outcome.trace`` for the scheduler to stitch.
+    """
+    tracer = Tracer(enabled=True) if session.collect_trace else None
     previous = set_tracer(tracer) if tracer is not None else None
     try:
         try:
-            outcome = execute_task(task, websari, want_report)
+            if isinstance(task, EntryTask):
+                outcome = execute_entry(task, session, wholes)
+            else:
+                outcome = execute_task(task, session.websari, session.want_report)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             outcome = FileOutcome(
                 filename=task.filename,
@@ -408,46 +530,26 @@ def safe_execute(
     return outcome
 
 
-def _rehydrate_task(task: AuditTask, store: dict[str, str]) -> AuditTask:
-    """Resolve :class:`FileRef` placeholders in a project task against
-    the worker's per-session content store, and remember any new texts
-    for later tasks on the same pipe.
-
-    A reference to a digest the store has never seen raises ``KeyError``
-    (turned into a structured error outcome by the caller) — it would
-    mean the scheduler's shipped-set and this store disagreed.
-    """
-    if task.project_files is None:
-        return task
-    files: dict[str, str] = {}
-    for path, text in task.project_files.items():
-        if isinstance(text, FileRef):
-            files[path] = store[text.digest]
-        else:
-            store[content_digest(text)] = text
-            files[path] = text
-    return replace(task, project_files=files)
-
-
 def _worker_loop(conn, session: WorkerSession) -> None:
     """Entry point of a persistent worker process.
 
-    ``session`` carries the policy and run options.  Under ``fork`` it
-    is the parent's own object, inherited with the process memory (the
-    verifier's parse memo included); under ``spawn`` it arrives pickled,
-    with empty caches.  The worker receives :class:`AuditTask` objects
-    and sends one :class:`FileOutcome` back per task until the scheduler
-    shuts it down (``None`` sentinel or closed pipe).  Project-file
-    texts already seen on this pipe arrive as :class:`FileRef` digests
-    and are rehydrated from a session-local store.  A worker that dies
+    ``session`` carries the policy, the run options, the run's projects
+    and its cache.  Under ``fork`` it is the parent's own object,
+    inherited with the process memory; under ``spawn`` it arrives
+    pickled, with empty caches.  The worker receives tasks and sends one
+    :class:`FileOutcome` back per task until the scheduler shuts it down
+    (``None`` sentinel or closed pipe).  An :class:`EntryTask` arrives
+    naming its project by slot in the session, and the worker scans,
+    keys, probes and verifies it through its own parse memo, so each
+    file is parsed at most once per worker per run.  A worker that dies
     mid-task (hard crash, kill, unpicklable result) is detected by the
     scheduler through the broken pipe and replaced with a fresh process.
 
     The scheduler keeps idle workers between runs.  A later run that
     reuses one first sends it that run's :class:`WorkerSession` down the
     pipe: the worker swaps it in (a pickled copy, so its caches start
-    empty, as a spawn worker's do) and empties its store, so nothing
-    cached crosses from one run into the next.
+    empty, as a spawn worker's do) and drops its whole-project
+    snapshots, so nothing cached crosses from one run into the next.
     """
     # The parent coordinates interrupts (drain + trailer): a terminal ^C
     # reaches the whole foreground process group, so workers must not
@@ -461,7 +563,7 @@ def _worker_loop(conn, session: WorkerSession) -> None:
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     try:
-        store: dict[str, str] = {}
+        wholes: dict[int, dict] = {}
         while True:
             try:
                 task = conn.recv()
@@ -471,23 +573,10 @@ def _worker_loop(conn, session: WorkerSession) -> None:
                 return
             if isinstance(task, WorkerSession):
                 session = task
-                store.clear()
+                wholes.clear()
                 continue
-            try:
-                task = _rehydrate_task(task, store)
-            except KeyError as exc:
-                conn.send(
-                    FileOutcome(
-                        filename=task.filename,
-                        status="error",
-                        error=f"missing project slice content for digest {exc}",
-                    )
-                )
-                continue
-            conn.send(
-                safe_execute(
-                    task, session.websari, session.want_report, session.collect_trace
-                )
-            )
+            if isinstance(task, EntryTask) and isinstance(task.project, int):
+                task = replace(task, project=session.projects[task.project])
+            conn.send(safe_execute(task, session, wholes))
     finally:
         conn.close()

@@ -43,13 +43,14 @@ __all__ = [
     "stage_order",
     "stage_quantiles",
     "replay_disagreements",
+    "run_timings",
     "verdict_of",
     "diff_runs",
     "render_diff",
 ]
 
 #: Pipeline stages in the order every run view lists them.
-STAGES = ("parse", "filter", "ai", "sat", "replay")
+STAGES = ("scan", "parse", "filter", "ai", "sat", "replay")
 
 #: Quantiles surfaced in report latency breakdowns.
 _REPORT_QUANTILES = (0.5, 0.9, 0.99)
@@ -75,6 +76,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def run_timings(record: Mapping) -> dict[str, float]:
+    """The stage seconds ``record`` spent in its own run.
+
+    A fresh record's stages all ran.  A cached record's verdict came from
+    the result cache, but its include scan ran before the probe (the
+    scan shapes the key), so only its ``scan`` stage counts.
+    """
+    timings = record.get("timings") or {}
+    cached = bool(record.get("cached"))
+    return {
+        stage: float(seconds)
+        for stage, seconds in timings.items()
+        if _is_number(seconds) and not (cached and stage != "scan")
+    }
+
+
 def _add_numbers(totals: dict, section) -> None:
     if isinstance(section, dict):
         for name, value in section.items():
@@ -88,9 +105,10 @@ class RunTotals:
 
     Every record counts toward the verdict tally, cache hits and replay
     totals: a cached verdict, and its replay, is still this run's
-    answer.  Only a record whose stages ran in this run (``cached``
-    false) adds stage seconds, solver and include counters and slow
-    queries.  Solver counters fold by their ``SolverStats`` rule (sum,
+    answer.  Every record adds the stage seconds it spent in this run
+    (:func:`run_timings`: a cached record only its scan).  Only a record
+    whose stages ran in this run (``cached`` false) adds solver and
+    include counters and slow queries.  Solver counters fold by their ``SolverStats`` rule (sum,
     or max for ``max_decision_level``).  Stage seconds are rounded to
     the record's 6 places before they add up, so a fold over live
     outcomes and a fold over the JSONL records they became agree.
@@ -126,15 +144,14 @@ class RunTotals:
         verdict = verdict_of(record)
         self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
         _add_numbers(self.replay, record.get("replay"))
+        for stage, seconds in run_timings(record).items():
+            seconds = round(seconds, 6)
+            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+            buckets = self.stage_buckets.setdefault(stage, [0] * (len(DEFAULT_BUCKETS) + 1))
+            buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
         if record.get("cached"):
             self.cache_hits += 1
             return
-        for stage, seconds in (record.get("timings") or {}).items():
-            if _is_number(seconds):
-                seconds = round(float(seconds), 6)
-                self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-                buckets = self.stage_buckets.setdefault(stage, [0] * (len(DEFAULT_BUCKETS) + 1))
-                buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
         if isinstance(record.get("solver"), dict):
             accumulate_stats(self.solver, record["solver"])
         _add_numbers(self.includes, record.get("includes"))

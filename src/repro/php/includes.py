@@ -28,6 +28,7 @@ once per content hash instead of once per entry.
 
 from __future__ import annotations
 
+import os
 import posixpath
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,6 +102,19 @@ class TreeProject(SourceProject):
     def __init__(self, disk_paths: dict[str, str]) -> None:
         super().__init__()
         self._disk_paths = disk_paths
+
+    def __getstate__(self) -> dict:
+        # A pickled tree is its path map, made absolute here: the
+        # receiving process reads the texts it needs itself, maybe from
+        # another working directory.
+        return {
+            "disk_paths": {
+                path: os.path.abspath(disk) for path, disk in self._disk_paths.items()
+            }
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["disk_paths"])
 
     def has(self, path: str) -> bool:
         return self.normalize(path) in self._disk_paths

@@ -1,8 +1,8 @@
-"""Content-hash-keyed parse memo and the persisted include graph.
+"""Content-hash-keyed parse memo and the include graph.
 
-A corpus audit parses the same shared prelude once per entry per run;
-``repro watch`` scans every entry's includes and then verifies it.  Both
-would parse the same text several times.  An AST is a deterministic
+A corpus audit parses the same shared prelude once per entry per run,
+and every entry's include scan parses the files its verification then
+splices.  Both would parse the same text several times.  An AST is a deterministic
 function of (source text, filename), and every AST node is a frozen
 dataclass — immutable and safely shared between consumers.
 :class:`ParseCache` memoizes ``parse`` on exactly that function, in
@@ -10,22 +10,18 @@ memory, for one process: each request parses each file once.  Nothing is
 written to disk; re-parsing is cheaper than reading a stored tree back,
 and the cache directory holds only plain data.
 
-:class:`IncludeGraph` is the other half of the layer: a persisted record
-of ``includer → included`` edges (with the content hash each file had
-when scanned), built from :func:`repro.php.includes.scan_includes`
+:class:`IncludeGraph` is the other half of the layer: an in-memory
+record of ``includer → included`` edges (with the content hash each file
+had when scanned), built from :func:`repro.php.includes.scan_includes`
 results.  Its reverse closure answers the daemon's invalidation
-question — "a shared library changed; which entries must re-audit?" —
-and its forward closure is what scopes cache keys and worker task slices
-to each entry's true dependency set (see ``repro.engine.worker``).  It
-lives under the engine cache root as ``<root>/include-graph.json``.
+question — "a shared library changed; which entries must re-audit?".
+It is never written to disk: the first cycle of every ``repro watch``
+process audits every file, which rebuilds it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from collections import OrderedDict
 from collections.abc import Iterable
 from pathlib import Path
@@ -41,8 +37,7 @@ __all__ = [
 
 
 def content_digest(text: str) -> str:
-    """SHA-256 of one file's source text (the graph's edge stamp and the
-    worker-pipe dedup identity)."""
+    """SHA-256 of one file's source text (the graph's edge stamp)."""
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -104,7 +99,7 @@ class ParseCache:
 
 
 class IncludeGraph:
-    """Persisted ``includer → included`` edges with content-hash stamps.
+    """In-memory ``includer → included`` edges with content-hash stamps.
 
     One node per normalized project-relative path; :meth:`update_file`
     replaces a file's out-edges wholesale (an include scan is the full
@@ -112,24 +107,15 @@ class IncludeGraph:
     node.  :meth:`includers_of` walks the reverse edges transitively —
     the daemon's invalidation rule: every entry whose splice could have
     contained a dirty file must re-audit.
-
-    The JSON snapshot is written atomically; an unreadable or
-    wrong-version snapshot loads as an empty graph (the daemon then
-    rebuilds it from its next full scan) rather than failing the caller.
     """
 
-    _FORMAT_VERSION = 1
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self) -> None:
         #: path → set of paths it includes (directly).
         self._out: dict[str, set[str]] = {}
         #: path → set of paths that include it (directly).
         self._in: dict[str, set[str]] = {}
         #: path → content digest at last scan.
         self._digests: dict[str, str] = {}
-        if self.path is not None:
-            self.load()
 
     # -- mutation ---------------------------------------------------------
 
@@ -183,64 +169,3 @@ class IncludeGraph:
 
     def __len__(self) -> int:
         return len(self._out)
-
-    # -- persistence ------------------------------------------------------
-
-    def load(self) -> None:
-        self._out = {}
-        self._in = {}
-        self._digests = {}
-        if self.path is None:
-            return
-        try:
-            snapshot = json.loads(self.path.read_text())
-        except (OSError, ValueError):
-            return
-        if (
-            not isinstance(snapshot, dict)
-            or snapshot.get("version") != self._FORMAT_VERSION
-            or not isinstance(snapshot.get("files"), dict)
-        ):
-            return
-        for path, node in snapshot["files"].items():
-            if not isinstance(node, dict):
-                continue
-            includes = node.get("includes")
-            if isinstance(includes, list) and all(isinstance(i, str) for i in includes):
-                self.update_file(
-                    str(path),
-                    includes,
-                    node.get("digest") if isinstance(node.get("digest"), str) else None,
-                )
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        snapshot = {
-            "version": self._FORMAT_VERSION,
-            "files": {
-                path: {
-                    "includes": sorted(targets),
-                    **(
-                        {"digest": self._digests[path]}
-                        if path in self._digests
-                        else {}
-                    ),
-                }
-                for path, targets in sorted(self._out.items())
-            },
-        }
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(snapshot, sort_keys=True))
-                os.replace(tmp, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        except OSError:
-            pass

@@ -32,7 +32,7 @@ from repro.ir.filter import filter_program
 from repro.lattice import FiniteLattice
 from repro.obs import get_tracer, stage
 from repro.php import ast_nodes as ast
-from repro.php.includes import SourceProject, resolve_includes, scan_includes
+from repro.php.includes import SourceProject, resolve_includes
 from repro.php.parsecache import ParseCache
 from repro.policy.prelude import Prelude, default_php_prelude
 from repro.sat.cache import SatQueryCache
@@ -414,26 +414,17 @@ class WebSSARI:
     ) -> ProjectReport:
         """Fan entry files over the audit engine's worker pool.
 
-        Each worker resolves includes and verifies one entry, returning
-        the full :class:`VerificationReport`.  Analysis failures that the
-        sequential path would raise are re-raised here, so the two paths
-        have the same contract.  Tasks come from the same builder as the
-        watch loop's (:func:`repro.engine.worker.entry_task`), after one
-        up-front include scan per entry.
+        Each worker scans, resolves includes and verifies one entry,
+        returning the full :class:`VerificationReport`.  Analysis failures
+        that the sequential path would raise are re-raised here, so the
+        two paths have the same contract.  Tasks are the same
+        :class:`~repro.engine.worker.EntryTask` the watch loop and
+        ``repro audit`` build; the project crosses each worker's pipe
+        once.
         """
-        from repro.engine import AuditEngine, EngineConfig
-        from repro.engine.worker import entry_task
+        from repro.engine import AuditEngine, EngineConfig, EntryTask
 
-        # One shared parse pass across every entry's scan: the prelude
-        # parses once during scanning, not once per entry.
-        scan_parse = self.parse_cache.parse
-        whole: dict = {}
-        tasks = [
-            entry_task(
-                i, path, project, scan_includes(project, path, parse_hook=scan_parse), whole
-            )
-            for i, path in enumerate(paths)
-        ]
+        tasks = [EntryTask(i, path, path, project) for i, path in enumerate(paths)]
         engine = AuditEngine(
             websari=self, config=EngineConfig(jobs=jobs, want_reports=True)
         )
@@ -441,7 +432,7 @@ class WebSSARI:
         reports: list[VerificationReport] = []
         for outcome in result.outcomes:
             if outcome.report is None:
-                if outcome.status == "frontend-error":
+                if outcome.status in ("frontend-error", "unreadable"):
                     from repro.php.errors import FrontendError
 
                     raise FrontendError(f"{outcome.filename}: {outcome.error}")

@@ -175,7 +175,7 @@ class TestAuditCache:
         second = capsys.readouterr().out
         assert "3 hit(s)" in second and "0 miss(es)" in second
         # Byte-identical per-file verdict text between cold and warm runs.
-        strip = lambda out: [l for l in out.splitlines() if not l.startswith(("audited", "cache:", "stage time:", "solver:", "sat-cache:", "slowest sat query:"))]
+        strip = lambda out: [l for l in out.splitlines() if not l.startswith(("audited", "cache:", "stage time:", "solver:", "includes:", "sat-cache:", "slowest sat query:"))]
         assert strip(first) == strip(second)
 
     def test_no_cache_flag(self, corpus, tmp_path, capsys):
@@ -260,8 +260,10 @@ class TestRunSummary:
         trailer = json.loads(streams[1].read_text().splitlines()[-1])
         assert warm["verdicts"]["cached"] == 3
         assert cold["solver"] and cold["stage_seconds"]
-        for section in ("solver", "includes", "stage_seconds"):
+        for section in ("solver", "includes"):
             assert warm[section] == trailer[section] == {}, section
+        # Each hit's include scan ran (it shapes the key), and nothing else.
+        assert list(warm["stage_seconds"]) == list(trailer["stage_seconds"]) == ["scan"]
         verdicts = lambda summary: {k: v for k, v in summary["verdicts"].items() if k != "cached"}
         assert verdicts(warm) == verdicts(cold)
         assert warm["replay"] == cold["replay"] and warm["replay"]["confirmed"] >= 1
@@ -279,7 +281,7 @@ class TestRunSummary:
         assert shared == [line for line in report_out if line.startswith(prefixes)]
         stage_line = next(line for line in shared if line.startswith("stage time:"))
         stages = [part.split()[0] for part in stage_line[len("stage time: "):].split(", ")]
-        assert stages == ["parse", "filter", "ai", "sat", "replay"]
+        assert stages == ["scan", "parse", "filter", "ai", "sat", "replay"]
         latency = report_out[report_out.index(
             "stage latency p50/p90/p99 (bucket-interpolated):") + 1:][: len(stages)]
         assert [line.split()[0] for line in latency] == stages
@@ -302,7 +304,7 @@ class TestAuditParallel:
         parallel_out = capsys.readouterr().out
         assert audit(corpus, "--no-cache", "--jobs", "1") == 1
         inline_out = capsys.readouterr().out
-        strip = lambda out: [l for l in out.splitlines() if not l.startswith(("audited", "cache:", "stage time:", "solver:", "sat-cache:", "slowest sat query:"))]
+        strip = lambda out: [l for l in out.splitlines() if not l.startswith(("audited", "cache:", "stage time:", "solver:", "includes:", "sat-cache:", "slowest sat query:"))]
         assert strip(parallel_out) == strip(inline_out)
 
 
@@ -417,7 +419,13 @@ VOLATILE = {"timings", "duration", "cache_key", "cached", "slow_queries"}
 
 
 def verdict_fields(record):
-    return {k: v for k, v in record.items() if k not in VOLATILE | {"filename"}}
+    view = {k: v for k, v in record.items() if k not in VOLATILE | {"filename"}}
+    # Parse-memo counters depend on which entries the process ran first.
+    view["includes"] = {
+        k: v for k, v in record["includes"].items()
+        if k not in ("parse_cache_hits", "parse_cache_misses")
+    }
+    return view
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +491,7 @@ class TestIncludeAwareAudit:
         tree = trees[14]
 
         # No result or SAT cache, so no record depends on which entries
-        # ran before it in the same process.
+        # ran before it in the same process, past its parse-memo counters.
         def run(name, *extra):
             stream = tmp_path / f"{name}.jsonl"
             audit(tree, "--jobs", "1", "--no-cache", "--sat-cache", "off",
@@ -498,11 +506,8 @@ class TestIncludeAwareAudit:
         merged = sorted(
             (r for shard in shards for r in shard), key=lambda r: r["filename"]
         )
-        # slow_queries hold solve seconds, so they are timings too.
-        volatile = {"timings", "duration", "cached", "slow_queries"}
-        strip = lambda r: {k: v for k, v in r.items() if k not in volatile}
-        assert [strip(r) for r in merged] == [
-            strip(r) for r in sorted(whole, key=lambda r: r["filename"])
+        assert [without_run_telemetry(r) for r in merged] == [
+            without_run_telemetry(r) for r in sorted(whole, key=lambda r: r["filename"])
         ]
 
 
@@ -596,8 +601,9 @@ class TestIncludeAwareRecords:
                                  "--cache-dir", tmp_path / "cache")
         capsys.readouterr()
         records = self.by_name(records, tree)
-        assert records["plain.php"]["includes"] == {}
-        assert records["lib.php"]["includes"] == {}
+        # Only the scan's parse-memo counters.
+        assert without_run_telemetry(records["plain.php"])["includes"] == {}
+        assert without_run_telemetry(records["lib.php"])["includes"] == {}
 
     def test_dynamic_include_is_widened(self, tree, tmp_path, capsys):
         _rc, records = run_audit(tmp_path, "out", tree, "--no-cache",

@@ -84,6 +84,26 @@ class TestOnceMode:
         # The include scan and the verification share one parse per file.
         assert sorted(parsed) == sorted(project.source(p) for p in project.paths())
 
+    def test_no_metrics_registry_without_a_server(self, tmp_path, corpus, monkeypatch, capsys):
+        # Nothing could read the registry, so none is built, and the
+        # cache dir holds no include graph either.
+        import repro.daemon as daemon_module
+
+        seen = []
+        real = daemon_module.WatchLoop
+
+        def capture(*args, **kwargs):
+            seen.append(kwargs["metrics"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "WatchLoop", capture)
+        cache = tmp_path / "cache"
+        rc = main(["watch", str(corpus), "--once", "--quiet", "--cache-dir", str(cache),
+                   "--out-dir", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert rc == 0 and seen == [None]
+        assert not (cache / "include-graph.json").exists()
+
     def test_once_on_an_empty_tree_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "empty"
         root.mkdir()

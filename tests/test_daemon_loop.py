@@ -279,7 +279,7 @@ class TestIncludeInvalidation:
     def make_graph_loop(self, tmp_path, **kwargs):
         from repro.php.parsecache import IncludeGraph
 
-        graph = IncludeGraph(tmp_path / "graph.json")
+        graph = IncludeGraph()
         clock, driver, loop = make_loop(tmp_path, include_graph=graph, **kwargs)
         return clock, driver, loop, graph
 
@@ -342,17 +342,58 @@ class TestIncludeInvalidation:
         assert outcome.status == "ok"
         assert any("common.php" in w for w in outcome.warnings)
 
-    def test_graph_persists_across_restarts(self, tmp_path):
+    def test_restarted_loop_rebuilds_the_graph_from_its_first_cycle(self, tmp_path):
+        """The graph lives in memory only: a restarted loop re-audits every
+        file on its first cycle (its watcher starts empty), which rebuilds
+        the graph, and then invalidates the same includers after an edit."""
         from repro.php.parsecache import IncludeGraph
 
-        _clock, driver, loop, graph = self.make_graph_loop(tmp_path)
+        clock, driver, loop, _graph = self.make_graph_loop(tmp_path)
         driver.write("common.php", self.COMMON)
         driver.write("a.php", self.INCLUDER)
+        driver.write("b.php", SAFE)
         loop.run_cycle()
+
+        graph = IncludeGraph()
+        restarted = WatchLoop(
+            driver.root,
+            WebSSARI(),
+            cache=loop.cache,
+            out_dir=tmp_path / "cycles2",
+            clock=clock,
+            debounce=0.0,
+            include_graph=graph,
+        )
+        first = restarted.run_cycle()
+        assert sorted(first.dirty) == sorted(
+            str(driver.path(name)) for name in ("a.php", "b.php", "common.php")
+        )
+        assert first.result.stats.cache_hits == 3
         assert graph.includes_of("a.php") == {"common.php"}
-        reloaded = IncludeGraph(tmp_path / "graph.json")
-        assert reloaded.includes_of("a.php") == {"common.php"}
-        assert reloaded.includers_of(["common.php"]) == {"a.php"}
+
+        clock.advance(10)
+        driver.write("common.php", "<?php $c = $_GET['q'];\n")
+        cycle = restarted.run_cycle()
+        assert cycle.invalidated == [str(driver.path("a.php"))]
+        outcomes = {o.filename: o for o in cycle.result.outcomes}
+        assert outcomes[str(driver.path("a.php"))].safe is False
+
+    @needs_fork
+    def test_crashed_entry_still_enters_the_graph(self, tmp_path, monkeypatch):
+        """A killed worker returns no scan; the loop scans that entry
+        itself, so editing its include still invalidates it."""
+        clock, driver, loop, graph = self.make_graph_loop(tmp_path, jobs=2)
+        driver.write("common.php", self.COMMON)
+        driver.write("a.php", self.INCLUDER)
+        patch_execute(monkeypatch, {str(driver.path("a.php")): lambda *_: os._exit(13)})
+        first = loop.run_cycle()
+        statuses = {o.filename: o.status for o in first.result.outcomes}
+        assert statuses[str(driver.path("a.php"))] == "crash"
+        assert graph.includes_of("a.php") == {"common.php"}
+
+        clock.advance(10)
+        driver.write("common.php", "<?php $c = $_GET['q'];\n")
+        assert loop.run_cycle().invalidated == [str(driver.path("a.php"))]
 
     def test_without_graph_only_byte_dirty_files_run(self, tmp_path):
         # The pre-graph behaviour (and the ROADMAP staleness bug this PR

@@ -1,19 +1,19 @@
-"""Engine-path include semantics, closure-scoped cache keys, and the
-worker-pipe slice dedup.
+"""Engine-path include semantics, closure-scoped cache keys, and entry
+tasks scanned where they run.
 
 The include resolver's unit semantics live in ``test_php_includes``;
 here the same behaviours are exercised end to end through
-``AuditTask(project_files=...)`` and the worker pool, plus the two
+``AuditTask(project_files=...)`` and the worker pool, plus the
 properties the closure work added: cache keys that move only with an
-entry's true dependency set, and pipe payloads that ship each file's
-bytes to a worker at most once.
+entry's true dependency set, and entry tasks whose pooled verdicts
+equal the inline ones.
 """
 
 import pytest
 
-from repro.engine import AuditEngine, AuditTask, EngineConfig, ResultCache
-from repro.engine.cache import cache_key, policy_fingerprint
-from repro.engine.worker import FileRef, project_content_digest
+from repro.engine import AuditEngine, AuditTask, EngineConfig, EntryTask, ResultCache
+from repro.engine.cache import policy_fingerprint
+from repro.engine.worker import project_content_digest
 from repro.php import SourceProject, scan_includes
 from repro.php.parsecache import ParseCache, content_digest
 from repro.websari.pipeline import WebSSARI
@@ -188,42 +188,77 @@ class TestClosureScopedCacheKeys:
         )
 
 
-class TestPipeSliceDedup:
-    def test_shared_include_bytes_ship_once_per_worker(self):
-        common = "<?php\n" + "".join(
-            f"$pad{i} = 'shared prelude text line {i}';\n" for i in range(50)
-        ) + "$c = 'shared';\n"
-        files = {"common.php": common}
+class TestPooledEntries:
+    COMMON = "<?php\n" + "".join(
+        f"$pad{i} = 'shared prelude text line {i}';\n" for i in range(50)
+    ) + "$c = 'shared';\n"
+
+    def entries(self):
+        files = {"common.php": self.COMMON}
         for i in range(6):
             files[f"page{i}.php"] = "<?php include 'common.php'; echo $c;\n"
         project = SourceProject(files)
-        tasks = []
-        for i in range(6):
-            entry = f"page{i}.php"
-            scan = scan_includes(project, entry)
-            closure = {p: files[p] for p in sorted(scan.closure)}
-            tasks.append(project_task(i, closure, entry))
+        return [EntryTask(i, f"page{i}.php", f"page{i}.php", project) for i in range(6)]
 
+    def test_shared_include_entries_match_inline(self):
+        tasks = self.entries()
         pooled = run(tasks, jobs=2)
         inline = run(tasks, jobs=1)
-
-        # Verdict parity: the FileRef substitution is pure transport.
         assert [o.safe for o in pooled.outcomes] == [o.safe for o in inline.outcomes]
         assert [o.summary for o in pooled.outcomes] == [
             o.summary for o in inline.outcomes
         ]
         assert all(o.status == "ok" for o in pooled.outcomes)
 
-        # With 6 closures sharing common.php over ≤ 2 workers, at least
-        # 4 shipments replaced the prelude bytes with a digest ref.
-        assert pooled.stats.closure_bytes_deduped >= 4 * len(common)
-        assert pooled.stats.closure_bytes_shipped > 0
-        # Inline mode never toes the pipe: both counters stay zero.
-        assert inline.stats.closure_bytes_shipped == 0
-        assert inline.stats.closure_bytes_deduped == 0
+    def test_each_worker_parses_each_file_once(self):
+        # 7 distinct files: inline parses each once, and each of the two
+        # workers at most once more.
+        def misses(result):
+            return sum(o.includes["parse_cache_misses"] for o in result.outcomes)
 
-    def test_fileref_is_content_addressed(self):
-        text = "<?php $x = 1;\n"
-        ref = FileRef(content_digest(text))
-        assert ref.digest == content_digest(text)
-        assert ref.digest != content_digest(text + " ")
+        tasks = self.entries()
+        assert misses(run(tasks, jobs=1)) == 7
+        assert misses(run(tasks, jobs=2)) <= 2 * 7
+
+    def test_scan_is_the_first_stage(self):
+        result = run(self.entries()[:1])
+        outcome = result.outcomes[0]
+        assert list(outcome.timings)[0] == "scan"
+        assert result.stats.stage_seconds["scan"] >= 0.0
+        page = "<?php include 'common.php'; echo $c;\n"
+        assert outcome.scan.includes_by_file == {"page0.php": {"common.php"}, "common.php": set()}
+        assert outcome.scan.digests == {
+            "page0.php": content_digest(page),
+            "common.php": content_digest(self.COMMON),
+        }
+        assert "scan" not in outcome.to_record()
+
+    def test_entry_keys_equal_the_shaped_task_keys(self, tmp_path):
+        """The key an entry derives where it runs is the key a shaped
+        task gets in the parent, so either serves the other's record."""
+        cache = ResultCache(tmp_path / "cache")
+        tasks = self.entries()[:2]
+        project = tasks[0].project
+        shaped = []
+        for task in tasks:
+            scan = scan_includes(project, task.entry)
+            closure = {p: project.source(p) for p in sorted(scan.closure)}
+            shaped.append(project_task(task.index, closure, task.entry))
+        first = run(shaped, cache=cache)
+        second = run(tasks, jobs=2, cache=cache)
+        assert [o.cache_key for o in second.outcomes] == [
+            o.cache_key for o in first.outcomes
+        ]
+        assert second.stats.cache_hits == 2
+        # A hit carries this run's scan, and only that.
+        assert all(set(o.timings) == {"scan"} for o in second.outcomes)
+        assert set(second.stats.stage_seconds) == {"scan"}
+
+    def test_missing_entry_is_unreadable(self):
+        project = SourceProject({"a.php": "<?php echo 'a';\n"})
+        result = run([EntryTask(0, "gone.php", "gone.php", project)], jobs=2)
+        outcome = result.outcomes[0]
+        assert outcome.status == "unreadable"
+        assert "gone.php" in outcome.error
+        assert result.stats.failed == 1
+

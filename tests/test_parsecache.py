@@ -1,6 +1,5 @@
-"""Tests for the in-memory parse cache and the persisted include graph."""
+"""Tests for the in-memory parse cache and the in-memory include graph."""
 
-import json
 import pickle
 
 import pytest
@@ -140,45 +139,3 @@ class TestIncludeGraph:
         assert graph.includers_of(["lib.php"]) == {"page.php"}
         assert graph.digest_of("lib.php") is None
         assert len(graph) == 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "graph.json"
-        graph = IncludeGraph(path)
-        graph.update_file("a.php", ["lib.php", "util.php"], digest="abc")
-        graph.update_file("lib.php", [], digest="def")
-        graph.save()
-        reloaded = IncludeGraph(path)
-        assert reloaded.includes_of("a.php") == {"lib.php", "util.php"}
-        assert reloaded.digest_of("a.php") == "abc"
-        assert reloaded.includers_of(["lib.php"]) == {"a.php"}
-        assert reloaded.edge_count == 2
-
-    def test_saved_bytes_are_the_json_dumps_rendering(self, tmp_path):
-        path = tmp_path / "graph.json"
-        graph = IncludeGraph(path)
-        graph.update_file("b.php", ["lib.php"], digest="abc")
-        graph.update_file("a.php", ["util.php", "lib.php"])
-        graph.save()
-        snapshot = {
-            "version": 1,
-            "files": {
-                "a.php": {"includes": ["lib.php", "util.php"]},
-                "b.php": {"includes": ["lib.php"], "digest": "abc"},
-            },
-        }
-        assert path.read_bytes() == json.dumps(snapshot, sort_keys=True).encode()
-
-    def test_corrupt_snapshot_loads_empty(self, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text("{ not json")
-        graph = IncludeGraph(path)
-        assert len(graph) == 0 and graph.edge_count == 0
-
-    def test_wrong_version_snapshot_loads_empty(self, tmp_path):
-        path = tmp_path / "graph.json"
-        path.write_text('{"version": 99, "files": {"a.php": {"includes": []}}}')
-        assert len(IncludeGraph(path)) == 0
-
-    def test_missing_snapshot_loads_empty(self, tmp_path):
-        graph = IncludeGraph(tmp_path / "absent.json")
-        assert len(graph) == 0

@@ -47,6 +47,16 @@ class TestLoadAudit:
         assert run.stats["total"] == 2
         assert not run.truncated
 
+    def test_reads_trailers_with_the_removed_closure_bytes_fields(self, tmp_path, capsys):
+        path = write_stream(
+            tmp_path / "old.jsonl",
+            [file_record("a.php", timings={"parse": 0.1, "sat": 0.2})],
+            stats={"closure_bytes_shipped": 1234, "closure_bytes_deduped": 567},
+        )
+        assert summarize_run(load_audit(path))["files_audited"] == 1
+        assert main(["report", str(path)]) == 0
+        assert "stage time: parse 0.10s, sat 0.20s" in capsys.readouterr().out
+
     def test_missing_trailer_marks_truncated(self, tmp_path):
         path = write_stream(tmp_path / "a.jsonl", [file_record("a.php")], stats=None)
         assert load_audit(path).truncated
@@ -223,6 +233,16 @@ class TestStageQuantiles:
         quantiles = stage_quantiles(self.records())
         assert quantiles["parse"]["count"] == 2
         assert quantiles["parse"]["p99"] < 1.0  # the cached 9.0s never counted
+
+    def test_cached_records_count_their_scan_only(self):
+        from repro.obs.report import RunTotals
+
+        totals = RunTotals.of([
+            file_record("a.php", timings={"scan": 0.01, "parse": 0.02}),
+            file_record("b.php", cached=True, timings={"scan": 0.03, "parse": 9.0}),
+        ])
+        assert totals.stage_seconds == {"scan": pytest.approx(0.04), "parse": 0.02}
+        assert totals.quantiles()["scan"]["count"] == 2
 
     def test_stage_order_and_bounds(self):
         quantiles = stage_quantiles(self.records())

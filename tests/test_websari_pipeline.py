@@ -385,8 +385,19 @@ class TestEntryTask:
         loop = WatchLoop(driver.root, WebSSARI(), clock=clock, debounce=0.0)
         loop.run_cycle()
 
+        # Both name the same entries; the process that runs each shapes
+        # it by one rule, so the shaped tasks are identical too.
+        def shaped(tasks, name):
+            whole = {}
+            return [
+                entry_task(t.index, name(t.filename), t.project,
+                           scan_includes(t.project, t.entry), whole)
+                for t in tasks
+            ]
+
         pooled, watched = captured
-        watched = [replace(t, filename=loop._rel(t.filename)) for t in watched]
-        assert pooled == watched
+        assert [t.entry for t in pooled] == [t.entry for t in watched]
+        pooled = shaped(pooled, str)
+        assert pooled == shaped(watched, loop._rel)
         shapes = {(t.source is not None, t.closure_widened) for t in pooled}
         assert shapes == {(True, False), (False, False), (False, True)}
