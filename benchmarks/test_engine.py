@@ -1,7 +1,7 @@
 """ENGINE — batch-audit engine: cold vs warm cache on the Figure-10 corpus.
 
-Dumps every generated Figure-10 project file to disk as a standalone
-audit corpus (283 files), then measures three sweeps through
+Dumps every generated Figure-10 project to disk (283 files), then
+measures three sweeps of every file as a project entry through
 ``repro.engine``:
 
 * cold, inline (``jobs=1``, empty cache) — the sequential baseline,
@@ -21,7 +21,8 @@ import pytest
 from repro import WebSSARI
 from repro.corpus import FIGURE_10
 from repro.corpus.generator import generate_catalog_project
-from repro.engine import AuditEngine, AuditTask, EngineConfig, ResultCache
+from repro.engine import AuditEngine, EngineConfig, EntryTask, ResultCache
+from repro.php import SourceProject
 
 
 def dump_corpus(root):
@@ -34,26 +35,32 @@ def dump_corpus(root):
     return sorted(root.rglob("*.php"))
 
 
-def sweep(files, jobs, cache):
-    tasks = [
-        AuditTask(index=i, filename=str(path), source=path.read_text())
-        for i, path in enumerate(files)
-    ]
+def sweep(root, files, jobs, cache):
+    """Every file as an entry of its Figure-10 project (the first
+    directory under ``root``), read from disk."""
+    projects = {}
+    tasks = []
+    for i, path in enumerate(files):
+        name, *rest = path.relative_to(root).parts
+        if name not in projects:
+            projects[name] = SourceProject.from_directory(root / name)
+        tasks.append(EntryTask(i, str(path), "/".join(rest), projects[name]))
     engine = AuditEngine(websari=WebSSARI(), config=EngineConfig(jobs=jobs, cache=cache))
     return engine.run(tasks)
 
 
 @pytest.mark.benchmark(group="engine")
 def test_cold_vs_warm_cache(benchmark, tmp_path):
-    files = dump_corpus(tmp_path / "corpus")
+    root = tmp_path / "corpus"
+    files = dump_corpus(root)
     assert len(files) > 200
 
-    cold_inline = sweep(files, jobs=1, cache=ResultCache(tmp_path / "c1"))
+    cold_inline = sweep(root, files, jobs=1, cache=ResultCache(tmp_path / "c1"))
 
     pool_cache = ResultCache(tmp_path / "c2")
-    cold_pool = sweep(files, jobs=4, cache=pool_cache)
+    cold_pool = sweep(root, files, jobs=4, cache=pool_cache)
     warm = benchmark.pedantic(
-        lambda: sweep(files, jobs=4, cache=pool_cache), rounds=1, iterations=1
+        lambda: sweep(root, files, jobs=4, cache=pool_cache), rounds=1, iterations=1
     )
 
     print()

@@ -30,7 +30,14 @@ from pathlib import Path
 import pytest
 
 from repro import WebSSARI
-from repro.engine import AuditEngine, AuditTask, EngineConfig, EntryTask, ResultCache
+from repro.engine import (
+    AuditEngine,
+    AuditTask,
+    EngineConfig,
+    EntryTask,
+    ResultCache,
+    execute_task,
+)
 from repro.php import SourceProject
 from repro.php.parsecache import ParseCache
 
@@ -58,31 +65,36 @@ def make_corpus() -> dict[str, str]:
     return files
 
 
-def make_tasks(files: dict[str, str], *, whole_project: bool = False) -> list:
+def make_tasks(files: dict[str, str]) -> list[EntryTask]:
     """Entry tasks the way ``verify_project`` and the watch loop build
-    them (:class:`repro.engine.EntryTask`), or — for the historical
-    baseline — one whole-project task per entry."""
-    entries = sorted(files)
-    if whole_project:
-        return [
-            AuditTask(index=i, filename=entry, project_files=dict(files), entry=entry)
-            for i, entry in enumerate(entries)
-        ]
+    them."""
     project = SourceProject(files)
-    return [EntryTask(i, entry, entry, project) for i, entry in enumerate(entries)]
+    return [EntryTask(i, entry, entry, project) for i, entry in enumerate(sorted(files))]
+
+
+def whole_project_outcomes(files: dict[str, str]) -> list:
+    """The historical baseline: each entry verified against the whole
+    project, outside the engine."""
+    websari = WebSSARI()
+    return [
+        execute_task(
+            AuditTask(index=i, filename=entry, project_files=dict(files), entry=entry),
+            websari,
+        )
+        for i, entry in enumerate(sorted(files))
+    ]
 
 
 def sweep(
     files: dict[str, str],
     *,
     jobs: int = 1,
-    whole_project: bool = False,
     parse_cache: ParseCache | None = None,
     cache: ResultCache | None = None,
 ):
     websari = WebSSARI(parse_cache=parse_cache)
     engine = AuditEngine(websari=websari, config=EngineConfig(jobs=jobs, cache=cache))
-    return engine.run(make_tasks(files, whole_project=whole_project))
+    return engine.run(make_tasks(files))
 
 
 def parse_seconds(result) -> float:
@@ -107,7 +119,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
     n_tasks = len(files)
 
     # -- baseline: verdict reference, whole project -----------------------
-    baseline = sweep(files, whole_project=True)
+    baseline = whole_project_outcomes(files)
 
     # -- contract: closure-scoped invalidation across cold processes ----
     result_dir = tmp_path / "results"
@@ -147,7 +159,7 @@ def test_closure_keys_parse_cache_and_slicing(benchmark, tmp_path):
     )
 
     # -- contract: verdict parity across every switch combination -------
-    reference = [(o.safe, o.summary) for o in baseline.outcomes]
+    reference = [(o.safe, o.summary) for o in baseline]
     for label, result in [
         ("closure", closure),
         ("closure+pool", pooled),

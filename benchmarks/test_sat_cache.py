@@ -34,8 +34,9 @@ from pathlib import Path
 import pytest
 
 from repro import WebSSARI
-from repro.engine import AuditEngine, AuditTask, EngineConfig
+from repro.engine import AuditEngine, EngineConfig, EntryTask
 from repro.lattice import linear_lattice
+from repro.php import SourceProject
 from repro.policy import Prelude
 from repro.sat.cache import SatQueryCache
 
@@ -92,10 +93,8 @@ def sweep(
     sat_cache: SatQueryCache | None,
     incremental: bool = True,
 ):
-    tasks = [
-        AuditTask(index=i, filename=name, source=source)
-        for i, (name, source) in enumerate(files)
-    ]
+    project = SourceProject(dict(files))
+    tasks = [EntryTask(i, name, name, project) for i, (name, _) in enumerate(files)]
     websari = WebSSARI(
         prelude=build_policy(),
         sat_cache=sat_cache,

@@ -1,7 +1,8 @@
 """Batch audit: sweep a corpus through the parallel engine, twice.
 
 Builds a small on-disk corpus (vulnerable, safe, and broken files),
-audits it with a 2-worker pool and a content-addressed result cache,
+reads it as one project, audits every file as an entry of that project
+with a 2-worker pool and a content-addressed result cache,
 then audits it again to show the warm run served entirely from cache
 with byte-identical verdicts — and that editing one file invalidates
 exactly that file.
@@ -12,7 +13,8 @@ Run:  python examples/batch_audit.py
 import tempfile
 from pathlib import Path
 
-from repro.engine import AuditEngine, AuditTask, EngineConfig, ResultCache
+from repro.engine import AuditEngine, EngineConfig, EntryTask, ResultCache
+from repro.php import SourceProject
 
 CORPUS = {
     "guestbook.php": """<?php
@@ -34,10 +36,12 @@ if ($x {   // unbalanced — the frontend rejects this file
 
 
 def run(root: Path, cache: ResultCache):
-    files = sorted(root.glob("*.php"))
+    # Each task names an entry of the project; the process that runs it
+    # scans the entry's includes, keys and probes the cache, and verifies.
+    project = SourceProject.from_directory(root)
     tasks = [
-        AuditTask(index=i, filename=str(path), source=path.read_text())
-        for i, path in enumerate(files)
+        EntryTask(i, str(root / entry), entry, project)
+        for i, entry in enumerate(project.paths())
     ]
     engine = AuditEngine(config=EngineConfig(jobs=2, cache=cache))
     return engine.run(tasks)

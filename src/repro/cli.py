@@ -3,26 +3,27 @@
 ```
 python -m repro [--prelude P] <command> ...
 python -m repro verify  file.php [dir/ ...] [--detailed] [--stats]
-                        [--solver cdcl|dpll] [--sat-cache on|off]
-                        [--replay on|off] [--trace out.json]
-python -m repro audit   dir/ [--jobs N] [--timeout S] [--cache-dir D]
-                        [--no-cache] [--jsonl out.jsonl] [--detailed]
-                        [--quiet] [--trace out.json] [--metrics out.prom]
-                        [--solver cdcl|dpll] [--sat-cache on|off]
-                        [--shard I/N] [--start-method fork|spawn]
-                        [--replay on|off]
-python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
-                        [--timeout S] [--cache-dir D] [--no-cache]
-                        [--out-dir D] [--serve-metrics [HOST]:PORT]
-                        [--once] [--quiet]
-                        [--solver cdcl|dpll] [--sat-cache on|off]
-                        [--start-method fork|spawn] [--replay on|off]
+                        [--sat-cache on|off] [--trace out.json] ANALYSIS
+python -m repro audit   dir/ [--jsonl out.jsonl] [--detailed] [--quiet]
+                        [--trace out.json] [--metrics out.prom]
+                        [--sat-cache on|off] [--shard I/N] ENGINE ANALYSIS
+python -m repro watch   dir/ [--interval S] [--debounce S] [--out-dir D]
+                        [--serve-metrics [HOST]:PORT] [--once] [--quiet]
+                        [--sat-cache on|off] ENGINE ANALYSIS
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
 python -m repro report  --diff old.jsonl new.jsonl
 python -m repro patch   file.php [-o out.php] [--strategy bmc|ts]
 python -m repro html    file.php [-o report.html]
 python -m repro figure10 [--jobs N]
+
+ANALYSIS = [--solver cdcl|dpll] [--replay on|off]
+ENGINE   = [--jobs N] [--timeout S] [--cache-dir D] [--no-cache]
+           [--start-method fork|spawn]
 ```
+
+``ANALYSIS`` and ``ENGINE`` are declared once each (as argparse
+parents) and mean the same under every subcommand that takes them;
+``--sat-cache`` and ``--quiet`` differ per subcommand.
 
 ``verify`` and ``audit`` treat each directory argument as a project
 root (a file argument's root is its parent directory) and verify every
@@ -57,6 +58,7 @@ instrumented source; ``html`` writes the cross-referenced report;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,7 +90,54 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _analysis_flags() -> argparse.ArgumentParser:
+    """The analysis flags ``verify``, ``audit`` and ``watch`` share."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--solver", choices=("cdcl", "dpll"), default="cdcl",
+        help="SAT backend (dpll is the slow ablation baseline)",
+    )
+    flags.add_argument(
+        "--replay", choices=("on", "off"), default="off",
+        help="concretely replay each counterexample through the PHP "
+        "interpreter with a synthesized witness request and report "
+        "confirmed/refuted/unsupported per trace (folded into the policy "
+        "fingerprint, so toggling it invalidates cached results; see "
+        "docs/REPLAY.md)",
+    )
+    return flags
+
+
+def _engine_flags() -> argparse.ArgumentParser:
+    """The batch-engine flags ``audit`` and ``watch`` share."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
+        help="worker processes (default: CPU count; 1 = run in-process)",
+    )
+    flags.add_argument(
+        "--timeout", type=_positive_float, default=None,
+        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
+    )
+    flags.add_argument(
+        "--cache-dir", type=Path, default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
+    )
+    flags.add_argument("--no-cache", action="store_true", help="disable the result cache")
+    flags.add_argument(
+        "--start-method", choices=("fork", "spawn"), default=None,
+        help="worker-pool start method (default: fork where available; "
+        "spawn is the portable escape hatch — fork workers inherit the "
+        "parent's parse memo, and verdicts are identical either way)",
+    )
+    return flags
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, built once per process (callers
+    only parse with it)."""
+    analysis, engine = _analysis_flags(), _engine_flags()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="WebSSARI/xBMC: verify and patch PHP web applications "
@@ -109,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "at a time in-process. Each directory argument is a project root; "
         "a file argument's root is its parent directory.",
         epilog=EXIT_CODES_HELP,
+        parents=[analysis],
     )
     verify.add_argument("paths", nargs="+", type=Path)
     verify.add_argument("--detailed", action="store_true", help="print counterexample traces")
@@ -117,19 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-file SAT-solver and formula statistics",
     )
     verify.add_argument(
-        "--solver", choices=("cdcl", "dpll"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    verify.add_argument(
         "--sat-cache", choices=("on", "off"), default="off",
         help="memoize SAT queries by canonical CNF fingerprint across the "
         "files of this run (in-memory; see docs/SOLVER.md)",
-    )
-    verify.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay each counterexample through the PHP "
-        "interpreter with a synthesized witness request and report "
-        "confirmed/refuted/unsupported per trace (see docs/REPLAY.md)",
     )
     verify.add_argument(
         "--trace", type=Path, default=None, metavar="OUT.json",
@@ -146,21 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         "on re-audit). Each directory argument is a project root; a file "
         "argument's root is its parent directory.",
         epilog=EXIT_CODES_HELP,
+        parents=[analysis, engine],
     )
     audit.add_argument("paths", nargs="+", type=Path)
-    audit.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: CPU count; 1 = run in-process)",
-    )
-    audit.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    audit.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    audit.add_argument("--no-cache", action="store_true", help="disable the result cache")
     audit.add_argument(
         "--jsonl", type=Path, default=None,
         help="stream per-file records and final stats to this JSONL file",
@@ -179,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Prometheus text-format metrics snapshot of the run",
     )
     audit.add_argument(
-        "--solver", choices=("cdcl", "dpll"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    audit.add_argument(
         "--sat-cache", choices=("on", "off"), default="off",
         help="opt-in: memoize SAT queries by canonical CNF fingerprint, "
         "persisted under <cache-dir>/sat; independent of --no-cache. Off by "
@@ -196,19 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are disjoint and exhaustive — machines sharing a --cache-dir can "
         "each take one shard with zero coordination "
         "(see docs/AUDIT_ENGINE.md)",
-    )
-    audit.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="worker-pool start method (default: fork where available; "
-        "spawn is the portable escape hatch — fork workers inherit the "
-        "parent's parse memo, and verdicts are identical either way)",
-    )
-    audit.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay each counterexample through the PHP "
-        "interpreter and record confirmed/refuted/unsupported verdicts "
-        "per file (folded into the policy fingerprint, so toggling it "
-        "invalidates cached results; see docs/REPLAY.md)",
     )
 
     watch = sub.add_parser(
@@ -226,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 = clean shutdown (signal drain or --once); "
         "2 = root is not a watchable directory or bad --serve-metrics "
         "address",
+        parents=[analysis, engine],
     )
     watch.add_argument("root", type=Path, help="directory tree to watch")
     watch.add_argument(
@@ -236,21 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--debounce", type=float, default=0.5,
         help="defer files modified within this many seconds of the poll "
         "(in-progress writes; 0 disables, default 0.5)",
-    )
-    watch.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="worker processes per cycle (default: CPU count; 1 = inline)",
-    )
-    watch.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    watch.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    watch.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
     )
     watch.add_argument(
         "--out-dir", type=Path, default=None,
@@ -271,22 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", "-q", action="store_true", help="suppress per-cycle summaries"
     )
     watch.add_argument(
-        "--solver", choices=("cdcl", "dpll"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    watch.add_argument(
         "--sat-cache", choices=("on", "off"), default="off",
         help="opt-in persistent SAT-query memo under <cache-dir>/sat; off by "
         "default because it costs more than it saves (see docs/SOLVER.md)",
-    )
-    watch.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="worker-pool start method (default: fork where available)",
-    )
-    watch.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay counterexamples through the interpreter "
-        "(folded into the policy fingerprint; see docs/REPLAY.md)",
     )
 
     report = sub.add_parser(

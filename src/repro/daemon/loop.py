@@ -258,7 +258,7 @@ class WatchLoop:
                 return
         if scan is not None:
             for path, targets in scan.includes_by_file.items():
-                self.include_graph.update_file(path, targets, scan.digests.get(path))
+                self.include_graph.update_file(path, targets)
 
     def _write_stream(
         self, result: EngineResult, interrupted: bool, invalidated: list[str]

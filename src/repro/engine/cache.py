@@ -173,8 +173,12 @@ class ResultCache:
         payload = dict(record)
         payload["record_version"] = _RECORD_VERSION
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+            except FileNotFoundError:
+                # The key's fan-out directory is new: make it once.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         except OSError:
             return
         try:

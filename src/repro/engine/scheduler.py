@@ -43,12 +43,10 @@ Design (persistent workers, pipelined two-deep):
   task once (``crash_retries``), then records it as ``crash``.
 * Results are keyed by task index, so the final outcome list is in input
   order no matter how completion interleaves.
-* With a :class:`~repro.engine.cache.ResultCache` attached, a shaped
-  :class:`~repro.engine.worker.AuditTask`'s content-addressed key is
-  probed in the parent first (hits skip the pool entirely); an entry
-  task's key is derived and probed where it runs and comes back on its
-  outcome.  Fresh ``ok``/``frontend-error`` outcomes (the deterministic
-  statuses) are written back by the parent.
+* With a :class:`~repro.engine.cache.ResultCache` attached, each
+  task's content-addressed key is derived and probed where it runs and
+  comes back on its outcome.  Fresh ``ok``/``frontend-error`` outcomes
+  (the deterministic statuses) are written back by the parent.
 
 ``jobs <= 1`` runs tasks inline in the calling process — same outcome
 records and caching, no subprocess machinery (and therefore no timeout
@@ -68,16 +66,14 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import connection
 from typing import TYPE_CHECKING
 
-from repro.engine.cache import ResultCache, cache_key, policy_fingerprint
+from repro.engine.cache import ResultCache, policy_fingerprint
 from repro.engine.jsonl import JsonlSink
 from repro.engine.stats import EngineStats, ProgressPrinter
 from repro.engine.worker import (
-    AuditTask,
     EntryTask,
     FileOutcome,
     WorkerSession,
     _worker_loop,
-    cached_outcome,
     safe_execute,
 )
 from repro.obs import MetricsRegistry, Span, Tracer, span_from_dict
@@ -94,10 +90,6 @@ __all__ = ["AuditEngine", "EngineConfig", "EngineResult", "shutdown_pool"]
 _CACHEABLE_STATUSES = frozenset({"ok", "frontend-error"})
 
 _POLL_INTERVAL = 0.05
-
-#: What :meth:`AuditEngine.run` takes: shaped tasks, or project entries
-#: that the executing process scans and shapes itself.
-Task = AuditTask | EntryTask
 
 #: Tasks buffered per worker pipe (1 executing + 1 queued).  Depth 2 is
 #: enough to hide the scheduler round-trip; deeper queues only delay
@@ -183,7 +175,7 @@ class _Worker:
 
     process: multiprocessing.process.BaseProcess
     conn: connection.Connection
-    inflight: deque[tuple[Task, int]] = field(default_factory=deque)
+    inflight: deque[tuple[EntryTask, int]] = field(default_factory=deque)
     started: float = 0.0
     deadline: float | None = None
 
@@ -273,17 +265,16 @@ def _keep(key: tuple | None, workers: list[_Worker]) -> None:
 atexit.register(shutdown_pool)
 
 
-def _projects(tasks: list[Task]) -> tuple:
-    """The distinct projects of the run's entry tasks, in first-seen order."""
+def _projects(tasks: list[EntryTask]) -> tuple:
+    """The distinct projects of the run's tasks, in first-seen order."""
     seen: dict[int, object] = {}
     for task in tasks:
-        if isinstance(task, EntryTask):
-            seen.setdefault(id(task.project), task.project)
+        seen.setdefault(id(task.project), task.project)
     return tuple(seen.values())
 
 
 class AuditEngine:
-    """Batch verifier: give it tasks, get ordered outcomes + stats."""
+    """Batch verifier: give it project entries, get ordered outcomes + stats."""
 
     def __init__(self, websari: "WebSSARI | None" = None, config: EngineConfig | None = None) -> None:
         if websari is None:
@@ -295,7 +286,7 @@ class AuditEngine:
 
     # -- public API ---------------------------------------------------------
 
-    def run(self, tasks: list[Task]) -> EngineResult:
+    def run(self, tasks: list[EntryTask]) -> EngineResult:
         config = self.config
         stats = EngineStats(total=len(tasks))
         progress = ProgressPrinter(total=len(tasks), enabled=config.progress)
@@ -304,36 +295,22 @@ class AuditEngine:
         tracer = config.tracer if config.tracing else None
         run_span = tracer.span("audit", files=len(tasks), jobs=config.jobs) if tracer else None
 
-        keys: dict[int, str] = {}
-        pending: deque[tuple[Task, int]] = deque()
+        pending: deque[tuple[EntryTask, int]] = deque((task, 1) for task in tasks)
         policy_fp = policy_fingerprint(self.websari) if config.cache is not None else None
-        if policy_fp is not None:
-            for task in tasks:
-                if isinstance(task, AuditTask):
-                    material, extra = task.cache_material()
-                    keys[task.index] = cache_key(material, policy_fp, extra)
 
         completed = False
         if run_span is not None:
             run_span.__enter__()
         try:
-            for task in tasks:
-                hit = self._probe_cache(task, keys)
-                if hit is not None:
-                    self._finalize(hit, task, stats, progress, outcomes, keys)
-                else:
-                    pending.append((task, 1))
-            try:
-                if config.jobs <= 1:
-                    session = self._session(policy_fp, inline=True)
-                    self._run_inline(session, pending, stats, progress, outcomes, keys)
-                else:
-                    session = self._session(policy_fp, projects=_projects(tasks))
-                    self._run_pool(session, pending, stats, progress, outcomes, keys)
-            finally:
-                progress.close()
+            if config.jobs <= 1:
+                session = self._session(policy_fp, inline=True)
+                self._run_inline(session, pending, stats, progress, outcomes)
+            else:
+                session = self._session(policy_fp, projects=_projects(tasks))
+                self._run_pool(session, pending, stats, progress, outcomes)
             completed = True
         finally:
+            progress.close()
             # The trailer is written even on SIGINT / early termination:
             # an interrupted audit must still leave a well-formed stream
             # (every line standalone JSON, exactly one stats record).
@@ -349,33 +326,21 @@ class AuditEngine:
         ordered = [outcomes[task.index] for task in tasks]
         return EngineResult(outcomes=ordered, stats=stats)
 
-    # -- cache --------------------------------------------------------------
-
-    def _probe_cache(self, task: Task, keys: dict[int, str]) -> FileOutcome | None:
-        """A shaped task's cache hit, probed before dispatch (an entry
-        task probes where it runs)."""
-        config = self.config
-        key = keys.get(task.index)
-        if key is None or config.cache is None or config.want_reports:
-            return None
-        record = config.cache.get(key)
-        return None if record is None else cached_outcome(record, task.filename, key)
+    # -- outcomes -----------------------------------------------------------
 
     def _finalize(
         self,
         outcome: FileOutcome,
-        task: Task,
+        task: EntryTask,
         stats: EngineStats,
         progress: ProgressPrinter,
         outcomes: dict[int, FileOutcome],
-        keys: dict[int, str],
     ) -> None:
         config = self.config
-        # A shaped task's key was derived here; an entry task's comes
-        # back on its outcome from the process that scanned it.
-        key = keys.get(task.index, outcome.cache_key)
+        # The key comes back on the outcome from the process that
+        # scanned the entry.
+        key = outcome.cache_key
         if key is not None and config.cache is not None:
-            outcome.cache_key = key
             if not outcome.cached and outcome.status in _CACHEABLE_STATUSES:
                 config.cache.put(key, outcome.to_record())
         outcomes[task.index] = outcome
@@ -493,7 +458,7 @@ class AuditEngine:
 
     # -- graceful drain -----------------------------------------------------
 
-    def _skip_pending(self, pending, stats, progress, outcomes, keys) -> None:
+    def _skip_pending(self, pending, stats, progress, outcomes) -> None:
         """Finalize every not-yet-started task as ``skipped`` (drain path)."""
         while pending:
             task, attempt = pending.popleft()
@@ -503,20 +468,20 @@ class AuditEngine:
                 error="not started: engine drained before dispatch",
             )
             outcome.attempts = attempt - 1  # it never ran
-            self._finalize(outcome, task, stats, progress, outcomes, keys)
+            self._finalize(outcome, task, stats, progress, outcomes)
 
     # -- inline execution ---------------------------------------------------
 
-    def _run_inline(self, session, pending, stats, progress, outcomes, keys) -> None:
+    def _run_inline(self, session, pending, stats, progress, outcomes) -> None:
         wholes: dict[int, dict] = {}
         while pending:
             if self.config.draining:
-                self._skip_pending(pending, stats, progress, outcomes, keys)
+                self._skip_pending(pending, stats, progress, outcomes)
                 return
             task, attempt = pending.popleft()
             outcome = safe_execute(task, session, wholes)
             outcome.attempts = attempt
-            self._finalize(outcome, task, stats, progress, outcomes, keys)
+            self._finalize(outcome, task, stats, progress, outcomes)
 
     # -- pool execution -----------------------------------------------------
 
@@ -538,7 +503,7 @@ class AuditEngine:
         projects: tuple = (),
         inline: bool = False,
     ) -> WorkerSession:
-        """The run's session.  Inline, entry tasks probe the configured
+        """The run's session.  Inline, tasks probe the configured
         cache itself (a hot layer included); a worker probes the same
         directory through a plain disk cache."""
         cache = None if self.config.want_reports else self.config.cache
@@ -593,7 +558,7 @@ class AuditEngine:
                 worker.discard()
         return workers
 
-    def _run_pool(self, session, pending, stats, progress, outcomes, keys) -> None:
+    def _run_pool(self, session, pending, stats, progress, outcomes) -> None:
         config = self.config
         ctx = self._mp_context()
         if self.websari.replay and ctx.get_start_method() == "fork":
@@ -606,11 +571,9 @@ class AuditEngine:
         workers = self._take_pool(key, session)
         slots = {id(project): slot for slot, project in enumerate(session.projects)}
 
-        def payload(task: Task) -> Task:
-            """An entry task goes down a pipe naming its project's slot."""
-            if isinstance(task, EntryTask):
-                return replace(task, project=slots[id(task.project)])
-            return task
+        def payload(task: EntryTask) -> EntryTask:
+            """A task goes down a pipe naming its project's slot."""
+            return replace(task, project=slots[id(task.project)])
 
         def discard(worker: _Worker) -> None:
             worker.discard()
@@ -634,7 +597,7 @@ class AuditEngine:
                 outcome.duration = time.monotonic() - worker.started
             if worker.inflight:
                 rearm(worker)
-            self._finalize(outcome, task, stats, progress, outcomes, keys)
+            self._finalize(outcome, task, stats, progress, outcomes)
 
         def crashed(worker: _Worker) -> None:
             """Pipe broke with no payload: the worker died mid-task.
@@ -674,7 +637,7 @@ class AuditEngine:
                     # Graceful shutdown: whatever is buffered in a worker
                     # pipe still runs to completion, but nothing new is
                     # dispatched — undispatched tasks become ``skipped``.
-                    self._skip_pending(pending, stats, progress, outcomes, keys)
+                    self._skip_pending(pending, stats, progress, outcomes)
                     if not any(w.inflight for w in workers):
                         break
                 else:

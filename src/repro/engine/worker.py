@@ -1,16 +1,17 @@
 """Per-file audit work unit: the code that runs inside a worker process.
 
-An :class:`EntryTask` names one entry of a project; :func:`execute_entry`
-runs it where it is scheduled — the calling process at ``--jobs 1``, a
-pool worker at ``--jobs N`` — as one pipeline: scan the entry's include
-closure through that process's parse memo (the ``scan`` stage), shape
-the :class:`AuditTask` with :func:`entry_task`, derive its cache key,
-probe the result cache, and verify on a miss with the closure's parses
-already in the memo.  :func:`execute_task` runs the WebSSARI pipeline
-(:meth:`~repro.websari.pipeline.WebSSARI.verify_file`) on a shaped task,
-whose stage spans also fill the outcome's timings.  Both always return a
-:class:`FileOutcome` — exceptions become structured error records rather
-than aborting the batch.
+An :class:`EntryTask` names one entry of a project, and it is the only
+task the engine takes.  :func:`execute_entry` runs it where it is
+scheduled — the calling process at ``--jobs 1``, a pool worker at
+``--jobs N`` — as one pipeline: scan the entry's include closure through
+that process's parse memo (the ``scan`` stage), shape the
+:class:`AuditTask` with :func:`entry_task`, derive its cache key, probe
+the result cache, and verify on a miss with the closure's parses already
+in the memo.  :func:`execute_task` runs the WebSSARI pipeline
+(:meth:`~repro.websari.pipeline.WebSSARI.verify_file`) on that shaped
+task, whose stage spans also fill the outcome's timings.  Both always
+return a :class:`FileOutcome` — exceptions become structured error
+records rather than aborting the batch.
 
 Everything crossing the process boundary (task in, outcome out) is
 picklable; the outcome additionally round-trips through JSON
@@ -154,7 +155,9 @@ class EntryTask:
 
 @dataclass(frozen=True)
 class AuditTask:
-    """One unit of work for the engine."""
+    """One entry shaped by its include scan: exactly the sources its
+    verification reads (built by :func:`entry_task`, run by
+    :func:`execute_task`)."""
 
     index: int
     filename: str
@@ -185,12 +188,13 @@ class AuditTask:
         A task with an ``entry`` keys on that project-relative name,
         never on ``filename``: its spans render under the entry name, so
         the same tree reached through two path spellings (or copied
-        elsewhere) shares its records, and the scheduler re-stamps the
-        filename on a hit.  Only a task without an ``entry`` keys on
-        ``file=``, because its spans render under the filename.  Project
-        entries hash the file set they carry (their include closure);
-        widened entries key on the precomputed whole-project digest so
-        *any* project edit conservatively invalidates them.
+        elsewhere) shares its records, and a hit is re-stamped with the
+        hitting task's filename (:func:`cached_outcome`).  Only a task
+        without an ``entry`` keys on ``file=``, because its spans render
+        under the filename.  Project entries hash the file set they
+        carry (their include closure); widened entries key on the
+        precomputed whole-project digest so *any* project edit
+        conservatively invalidates them.
         """
         if self.project_files is None:
             name = f"entry={self.entry}" if self.entry is not None else f"file={self.filename}"
@@ -494,14 +498,13 @@ def execute_entry(
 
 
 def safe_execute(
-    task: "AuditTask | EntryTask",
+    task: EntryTask,
     session: WorkerSession,
     wholes: dict[int, dict] | None = None,
 ) -> FileOutcome:
-    """Run ``task`` (an :class:`EntryTask` through :func:`execute_entry`,
-    an :class:`AuditTask` through :func:`execute_task`) with a
-    last-resort catch: even a bug in the executor itself must yield a
-    structured record, not an abort.
+    """Run ``task`` through :func:`execute_entry` with a last-resort
+    catch: even a bug in the executor itself must yield a structured
+    record, not an abort.
 
     With ``session.collect_trace``, a fresh enabled tracer is installed
     for the duration of the task and the finished span trees (the stage
@@ -512,10 +515,7 @@ def safe_execute(
     previous = set_tracer(tracer) if tracer is not None else None
     try:
         try:
-            if isinstance(task, EntryTask):
-                outcome = execute_entry(task, session, wholes)
-            else:
-                outcome = execute_task(task, session.websari, session.want_report)
+            outcome = execute_entry(task, session, wholes)
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             outcome = FileOutcome(
                 filename=task.filename,
@@ -538,7 +538,7 @@ def _worker_loop(conn, session: WorkerSession) -> None:
     inherited with the process memory; under ``spawn`` it arrives
     pickled, with empty caches.  The worker receives tasks and sends one
     :class:`FileOutcome` back per task until the scheduler shuts it down
-    (``None`` sentinel or closed pipe).  An :class:`EntryTask` arrives
+    (``None`` sentinel or closed pipe).  Each :class:`EntryTask` arrives
     naming its project by slot in the session, and the worker scans,
     keys, probes and verifies it through its own parse memo, so each
     file is parsed at most once per worker per run.  A worker that dies
@@ -575,7 +575,7 @@ def _worker_loop(conn, session: WorkerSession) -> None:
                 session = task
                 wholes.clear()
                 continue
-            if isinstance(task, EntryTask) and isinstance(task.project, int):
+            if isinstance(task.project, int):
                 task = replace(task, project=session.projects[task.project])
             conn.send(safe_execute(task, session, wholes))
     finally:

@@ -16,7 +16,7 @@ from repro.php.includes import (
     scan_includes,
 )
 from repro.php.lexer import Lexer, tokenize
-from repro.php.parsecache import IncludeGraph, ParseCache, content_digest
+from repro.php.parsecache import IncludeGraph, ParseCache
 from repro.php.parser import Parser, parse
 from repro.php.span import Position, Span
 from repro.php.tokens import Token, TokenKind
@@ -33,7 +33,6 @@ __all__ = [
     "ParseCache",
     "SourceProject",
     "TreeProject",
-    "content_digest",
     "resolve_includes",
     "scan_includes",
     "Lexer",

@@ -323,8 +323,6 @@ class IncludeScan:
     unresolved: list[str] = field(default_factory=list)
     #: Files whose includes are unknown because they did not parse.
     parse_failures: list[str] = field(default_factory=list)
-    #: Content digest of each closure member at scan time.
-    digests: dict[str, str] = field(default_factory=dict)
 
     @property
     def widened(self) -> bool:
@@ -369,8 +367,6 @@ def scan_includes(
     recorded on the scan and the walk continues, because the scheduler
     needs a dependency answer even for files whose audit will fail.
     """
-    from repro.php.parsecache import content_digest
-
     do_parse = parse_hook if parse_hook is not None else parse
     entry_normalized = project.normalize(entry)
     if not project.has(entry_normalized):
@@ -381,7 +377,6 @@ def scan_includes(
     while queue:
         current = queue.pop()
         text = project.source(current)
-        scan.digests[current] = content_digest(text)
         targets: set[str] = set()
         scan.includes_by_file[current] = targets
         try:

@@ -11,9 +11,8 @@ written to disk; re-parsing is cheaper than reading a stored tree back,
 and the cache directory holds only plain data.
 
 :class:`IncludeGraph` is the other half of the layer: an in-memory
-record of ``includer → included`` edges (with the content hash each file
-had when scanned), built from :func:`repro.php.includes.scan_includes`
-results.  Its reverse closure answers the daemon's invalidation
+record of ``includer → included`` edges, built from
+:func:`repro.php.includes.scan_includes` results.  Its reverse closure answers the daemon's invalidation
 question — "a shared library changed; which entries must re-audit?".
 It is never written to disk: the first cycle of every ``repro watch``
 process audits every file, which rebuilds it.
@@ -32,13 +31,7 @@ from repro.php.parser import parse
 __all__ = [
     "ParseCache",
     "IncludeGraph",
-    "content_digest",
 ]
-
-
-def content_digest(text: str) -> str:
-    """SHA-256 of one file's source text (the graph's edge stamp)."""
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class ParseCache:
@@ -99,7 +92,7 @@ class ParseCache:
 
 
 class IncludeGraph:
-    """In-memory ``includer → included`` edges with content-hash stamps.
+    """In-memory ``includer → included`` edges.
 
     One node per normalized project-relative path; :meth:`update_file`
     replaces a file's out-edges wholesale (an include scan is the full
@@ -114,14 +107,10 @@ class IncludeGraph:
         self._out: dict[str, set[str]] = {}
         #: path → set of paths that include it (directly).
         self._in: dict[str, set[str]] = {}
-        #: path → content digest at last scan.
-        self._digests: dict[str, str] = {}
 
     # -- mutation ---------------------------------------------------------
 
-    def update_file(
-        self, path: str, includes: Iterable[str], digest: str | None = None
-    ) -> None:
+    def update_file(self, path: str, includes: Iterable[str]) -> None:
         """Replace ``path``'s out-edges with ``includes`` (its full,
         current direct-include set)."""
         new = set(includes)
@@ -130,13 +119,10 @@ class IncludeGraph:
         for added in new:
             self._in.setdefault(added, set()).add(path)
         self._out[path] = new
-        if digest is not None:
-            self._digests[path] = digest
 
     def remove_file(self, path: str) -> None:
         for target in self._out.pop(path, set()):
             self._in.get(target, set()).discard(path)
-        self._digests.pop(path, None)
         # Keep reverse edges pointing AT the removed path: its includers
         # spliced it and must re-audit when asked via includers_of.
 
@@ -159,9 +145,6 @@ class IncludeGraph:
                     stale.add(includer)
                     frontier.append(includer)
         return stale
-
-    def digest_of(self, path: str) -> str | None:
-        return self._digests.get(path)
 
     @property
     def edge_count(self) -> int:

@@ -32,6 +32,7 @@ from repro.ir.filter import filter_program
 from repro.lattice import FiniteLattice
 from repro.obs import get_tracer, stage
 from repro.php import ast_nodes as ast
+from repro.php.errors import FrontendError
 from repro.php.includes import SourceProject, resolve_includes
 from repro.php.parsecache import ParseCache
 from repro.policy.prelude import Prelude, default_php_prelude
@@ -208,15 +209,11 @@ class WebSSARI:
         with get_tracer().span("file", filename=filename):
             return self.verify_file(filename, source=source)[0]
 
-    def verify_ast(self, program: ast.Program, filename: str = "<string>") -> VerificationReport:
-        return self.verify_file(filename, program=program)[0]
-
     def verify_file(
         self,
         filename: str,
         *,
         source: str | None = None,
-        program: ast.Program | None = None,
         project: SourceProject | None = None,
         entry: str | None = None,
         timings: dict[str, float] | None = None,
@@ -225,43 +222,39 @@ class WebSSARI:
         plus the ``includes`` section of its engine record.
 
         The file is a standalone ``source`` (parsed under the name
-        ``entry`` when given, else ``filename``), an already-parsed
-        ``program``, or ``entry`` of ``project`` (includes spliced, and
-        the section then counts edges, included files, unresolved paths
-        and this call's parse-cache hits and misses).  Stages are
-        ``parse`` (skipped for a ``program``), ``filter``, ``ai`` (TS +
-        translate + rename) and ``sat`` (BMC + grouping); each is one
-        tracer span whose seconds land in ``timings``.  Every caller —
-        single files, sequential projects, engine workers — goes through
-        here.
+        ``entry`` when given, else ``filename``) or ``entry`` of
+        ``project`` (includes spliced, and the section then counts
+        edges, included files, unresolved paths and this call's
+        parse-cache hits and misses).  Stages are ``parse``, ``filter``,
+        ``ai`` (TS + translate + rename) and ``sat`` (BMC + grouping);
+        each is one tracer span whose seconds land in ``timings``.
+        Every caller — single files, engine workers, the reference
+        checks in the tests — goes through here.
         """
         timings = {} if timings is None else timings
         includes: dict = {}
         include_warnings: list[str] = []
-        if program is None:
-            cache = self.parse_cache
-            with stage("parse", timings):
-                if project is None:
-                    program = entry_program = cache.parse(source or "", entry or filename)
-                else:
-                    hits, misses = cache.hits, cache.misses
-                    resolution = resolve_includes(
-                        project, entry or filename, parse_hook=cache.parse
-                    )
-                    program, entry_program = resolution.program, resolution.entry_program
-                    assert entry_program is not None
-                    include_warnings = resolution.warnings
-                    includes = {
-                        "edges": len(resolution.edges),
-                        "included_files": len(resolution.included_files),
-                        "unresolved": len(resolution.unresolved),
-                        "parse_cache_hits": cache.hits - hits,
-                        "parse_cache_misses": cache.misses - misses,
-                    }
-                # Statements of the entry's own program, not the spliced one.
-                num_statements = count_statements(entry_program)
-        else:
-            num_statements = count_statements(program)
+        cache = self.parse_cache
+        with stage("parse", timings):
+            if project is None:
+                program = entry_program = cache.parse(source or "", entry or filename)
+            else:
+                hits, misses = cache.hits, cache.misses
+                resolution = resolve_includes(
+                    project, entry or filename, parse_hook=cache.parse
+                )
+                program, entry_program = resolution.program, resolution.entry_program
+                assert entry_program is not None
+                include_warnings = resolution.warnings
+                includes = {
+                    "edges": len(resolution.edges),
+                    "included_files": len(resolution.included_files),
+                    "unresolved": len(resolution.unresolved),
+                    "parse_cache_hits": cache.hits - hits,
+                    "parse_cache_misses": cache.misses - misses,
+                }
+            # Statements of the entry's own program, not the spliced one.
+            num_statements = count_statements(entry_program)
         with stage("filter", timings):
             filtered = filter_program(
                 program,
@@ -393,48 +386,25 @@ class WebSSARI:
 
         By default every ``.php`` file is treated as an entry point (the
         way a web server would expose them); pass ``entries`` to restrict.
-        With ``jobs`` > 1, entries are fanned over the batch-audit
-        engine's worker pool (``repro.engine``); results are identical to
-        the sequential path, in the same order.
-        """
-        paths = entries if entries is not None else project.paths()
-        if jobs is not None and jobs > 1:
-            return self._verify_project_parallel(project, paths, jobs)
-        reports = [
-            self.verify_file(path, project=project, entry=path)[0] for path in paths
-        ]
-        return ProjectReport(
-            reports=reports,
-            num_files=len(project),
-            num_statements=sum(r.num_statements for r in reports),
-        )
-
-    def _verify_project_parallel(
-        self, project: SourceProject, paths: list[str], jobs: int
-    ) -> ProjectReport:
-        """Fan entry files over the audit engine's worker pool.
-
-        Each worker scans, resolves includes and verifies one entry,
-        returning the full :class:`VerificationReport`.  Analysis failures
-        that the sequential path would raise are re-raised here, so the
-        two paths have the same contract.  Tasks are the same
-        :class:`~repro.engine.worker.EntryTask` the watch loop and
-        ``repro audit`` build; the project crosses each worker's pipe
-        once.
+        Entries run through the batch-audit engine (``repro.engine``) as
+        the same :class:`~repro.engine.worker.EntryTask` the watch loop
+        and ``repro audit`` build: in this process at ``jobs`` 1 (the
+        default), over a worker pool at ``jobs`` > 1, with the same
+        reports in the same order either way.  An entry that fails to
+        parse or read raises :class:`~repro.php.errors.FrontendError`;
+        any other failed entry raises :class:`RuntimeError`.
         """
         from repro.engine import AuditEngine, EngineConfig, EntryTask
 
+        paths = entries if entries is not None else project.paths()
         tasks = [EntryTask(i, path, path, project) for i, path in enumerate(paths)]
         engine = AuditEngine(
-            websari=self, config=EngineConfig(jobs=jobs, want_reports=True)
+            websari=self, config=EngineConfig(jobs=jobs or 1, want_reports=True)
         )
-        result = engine.run(tasks)
         reports: list[VerificationReport] = []
-        for outcome in result.outcomes:
+        for outcome in engine.run(tasks).outcomes:
             if outcome.report is None:
                 if outcome.status in ("frontend-error", "unreadable"):
-                    from repro.php.errors import FrontendError
-
                     raise FrontendError(f"{outcome.filename}: {outcome.error}")
                 raise RuntimeError(
                     f"{outcome.filename}: {outcome.status}: {outcome.error}"

@@ -410,22 +410,21 @@ class TestIncludeInvalidation:
         assert cycle.dirty == [str(driver.path("common.php"))]
 
     def test_include_free_files_key_apart_from_the_audit_cache(self, tmp_path):
-        # A plain `repro audit` renders spans under the path it was given;
-        # the daemon verifies include-free files under their tree-relative
-        # name, so its records differ and must not share the audit's keys.
-        from repro.engine import AuditEngine, AuditTask, EngineConfig
+        # A task without an entry renders spans under the path it was
+        # given; the daemon verifies include-free files under their
+        # tree-relative name, so its records differ and must not share
+        # that task's key.
+        from repro.engine import AuditTask, cache_key, execute_task, policy_fingerprint
 
         clock, driver, loop, _graph = self.make_graph_loop(tmp_path)
         driver.write("a.php", SAFE)
-        engine = AuditEngine(
-            websari=WebSSARI(),
-            config=EngineConfig(jobs=1, cache=loop.cache),
-        )
+        websari = loop.websari
         source = driver.path("a.php").read_text()
-        prewarm = engine.run(
-            [AuditTask(index=0, filename=str(driver.path("a.php")), source=source)]
-        )
-        assert prewarm.stats.cache_misses == 1
+        task = AuditTask(index=0, filename=str(driver.path("a.php")), source=source)
+        material, extra = task.cache_material()
+        key = cache_key(material, policy_fingerprint(websari), extra)
+        loop.cache.put(key, execute_task(task, websari).to_record())
+        assert len(loop.cache) == 1
         cycle = loop.run_cycle()
         assert cycle.result.stats.cache_misses == 1
         (outcome,) = cycle.result.outcomes

@@ -18,10 +18,12 @@ from repro.engine import (
     AuditEngine,
     AuditTask,
     EngineConfig,
+    EntryTask,
     JsonlSink,
     ResultCache,
 )
 from repro.engine.scheduler import shutdown_pool
+from repro.php.includes import SourceProject
 from repro.policy.preludefile import parse_prelude
 from repro.websari.pipeline import WebSSARI
 
@@ -36,10 +38,10 @@ BROKEN = "<?php if (\n"
 
 
 def make_tasks(sources):
-    return [
-        AuditTask(index=i, filename=name, source=src)
-        for i, (name, src) in enumerate(sources)
-    ]
+    """One entry task per ``(name, source)``, all entries of one project."""
+    project = SourceProject(dict(sources))
+    assert len(project) == len(sources)
+    return [EntryTask(i, name, name, project) for i, (name, _) in enumerate(sources)]
 
 
 def patch_execute(monkeypatch, special):
@@ -83,7 +85,7 @@ class TestInline:
         result = AuditEngine(config=EngineConfig(jobs=1)).run(make_tasks([("v.php", VULN)]))
         outcome = result.outcomes[0]
         assert outcome.ts_errors == 1 and outcome.bmc_groups == 1
-        assert set(outcome.timings) == {"parse", "filter", "ai", "sat"}
+        assert set(outcome.timings) == {"scan", "parse", "filter", "ai", "sat"}
         assert "VULNERABLE" in outcome.summary
         assert "counterexample" in outcome.detailed
 
@@ -358,11 +360,12 @@ class TestCachedRecordsTakeTheTaskFilename:
     def test_hit_through_another_spelling_is_restamped(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         config = EngineConfig(jobs=1, cache=cache)
+        project = SourceProject({"page.php": VULN})
         first = AuditEngine(config=config).run(
-            [AuditTask(0, "a/page.php", source=VULN, entry="page.php")]
+            [EntryTask(0, "a/page.php", "page.php", project)]
         )
         second = AuditEngine(config=config).run(
-            [AuditTask(0, "b/page.php", source=VULN, entry="page.php")]
+            [EntryTask(0, "b/page.php", "page.php", project)]
         )
         [cold], [hit] = first.outcomes, second.outcomes
         assert hit.cached and second.stats.cache_hits == 1
@@ -377,7 +380,7 @@ class TestCachedRecordsTakeTheTaskFilename:
     def test_hit_under_the_same_name_is_unchanged(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         config = EngineConfig(jobs=1, cache=cache)
-        task = AuditTask(0, "a/page.php", source=VULN, entry="page.php")
+        task = EntryTask(0, "a/page.php", "page.php", SourceProject({"page.php": VULN}))
         [cold] = AuditEngine(config=config).run([task]).outcomes
         [hit] = AuditEngine(config=config).run([task]).outcomes
         assert hit.cached
@@ -509,7 +512,7 @@ class TestTracing:
         root = file_spans[0]
         assert root.attrs["status"] == "ok" and root.attrs["safe"] is False
         stage_names = [c.name for c in root.children]
-        assert stage_names == ["parse", "filter", "ai", "sat"]
+        assert stage_names == ["scan", "parse", "filter", "ai", "sat"]
         sat = root.children[-1]
         solves = [s for s in sat.walk() if s.name == "sat.solve"]
         assert solves, "per-assertion SAT solves must appear under the sat stage"
@@ -523,7 +526,9 @@ class TestTracing:
         assert sorted(s.name for s in file_spans) == ["file:s.php", "file:v.php"]
         for root in file_spans:
             assert root.pid == os.getpid()
-            assert [c.name for c in root.children] == ["parse", "filter", "ai", "sat"]
+            assert [c.name for c in root.children] == [
+                "scan", "parse", "filter", "ai", "sat"
+            ]
             # Stage spans keep the worker's pid (separate track per worker).
             assert all(c.pid != os.getpid() for c in root.children)
 
@@ -540,7 +545,7 @@ class TestTracing:
         """One timing source: each ok outcome's ``timings`` are exactly
         its stitched stage spans' durations."""
         examples = Path(__file__).resolve().parent.parent / "examples" / "php"
-        sources = [(str(p), p.read_text()) for p in sorted(examples.glob("*.php"))]
+        sources = [(p.name, p.read_text()) for p in sorted(examples.glob("*.php"))]
         config = self._config(jobs=1)
         result = AuditEngine(websari=WebSSARI(replay=True), config=config).run(
             make_tasks(sources)
@@ -566,7 +571,8 @@ class TestTracing:
         AuditEngine(config=config).run(make_tasks([("v.php", VULN)]))
         root = self._file_roots(config)[0]
         assert root.attrs["cached"] is True
-        assert root.children == []
+        # A hit runs this run's include scan and no pipeline stage.
+        assert [c.name for c in root.children] == ["scan"]
 
 
 class TestStatsTolerance:
@@ -689,10 +695,12 @@ class TestWantReports:
         assert result.outcomes[1].report.safe
 
 
-class TestVerifyProjectParallel:
-    def test_parity_with_sequential(self):
-        from repro.php.includes import SourceProject
+class TestVerifyProject:
+    """``verify_project`` at any ``jobs`` against the per-entry
+    ``verify_file`` reference."""
 
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
+    def test_matches_per_entry_verify_file(self, jobs):
         project = SourceProject(
             {
                 "index.php": "<?php include 'lib.php'; echo $_GET['q'];",
@@ -701,21 +709,32 @@ class TestVerifyProjectParallel:
             }
         )
         websari = WebSSARI()
-        seq = websari.verify_project(project)
-        par = websari.verify_project(project, jobs=2)
-        assert [r.filename for r in seq.reports] == [r.filename for r in par.reports]
-        assert [r.summary() for r in seq.reports] == [r.summary() for r in par.reports]
-        assert seq.num_statements == par.num_statements
-        assert seq.ts_error_count == par.ts_error_count
-        assert seq.bmc_group_count == par.bmc_group_count
+        reference = [
+            websari.verify_file(path, project=project, entry=path)[0]
+            for path in project.paths()
+        ]
+        report = websari.verify_project(project, jobs=jobs)
+        assert [r.filename for r in report.reports] == [r.filename for r in reference]
+        assert [r.summary() for r in report.reports] == [r.summary() for r in reference]
+        assert report.num_statements == sum(r.num_statements for r in reference)
+        assert report.ts_error_count == sum(r.ts_error_count for r in reference)
+        assert report.bmc_group_count == sum(r.bmc_group_count for r in reference)
 
-    def test_frontend_error_raises_like_sequential(self):
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_frontend_error_raises_like_verify_file(self, jobs):
         from repro.php.errors import FrontendError
-        from repro.php.includes import SourceProject
 
         project = SourceProject({"broken.php": "<?php if ("})
         websari = WebSSARI()
         with pytest.raises(FrontendError):
-            websari.verify_project(project)
+            websari.verify_file("broken.php", project=project, entry="broken.php")
         with pytest.raises(FrontendError):
-            websari.verify_project(project, jobs=2)
+            websari.verify_project(project, jobs=jobs)
+
+    def test_other_failures_raise_runtime_error(self, monkeypatch):
+        def boom(task, websari, want_report):
+            raise ValueError("injected failure")
+
+        patch_execute(monkeypatch, {"a.php": boom})
+        with pytest.raises(RuntimeError, match="a.php: error: ValueError: injected failure"):
+            WebSSARI().verify_project(SourceProject({"a.php": SAFE}))

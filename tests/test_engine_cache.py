@@ -1,6 +1,7 @@
 """Tests for the content-addressed result cache (repro.engine.cache)."""
 
 import json
+from pathlib import Path
 
 from repro.engine.cache import (
     ENGINE_VERSION,
@@ -89,6 +90,38 @@ class TestResultCache:
         key = cache_key("src", "fp")
         cache.put(key, {"status": "ok"})
         assert (tmp_path / "objects" / key[:2] / f"{key}.json").exists()
+
+    def test_first_put_into_a_fresh_root_makes_its_directory_once(
+        self, tmp_path, monkeypatch
+    ):
+        made = []
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        cache = ResultCache(tmp_path / "fresh" / "root")
+        key = cache_key("src", "fp")
+        cache.put(key, {"status": "ok"})
+        assert cache.get(key)["status"] == "ok"
+        assert made[0] == cache._path(key).parent
+        # The fan-out directory exists now: later records make none.
+        made.clear()
+        cache.put(key, {"status": "ok", "summary": "again"})
+        assert cache.get(key)["summary"] == "again"
+        assert made == []
+
+    def test_root_that_is_a_plain_file_stays_uncached(self, tmp_path):
+        root = tmp_path / "root"
+        root.write_text("not a directory\n")
+        cache = ResultCache(root)
+        key = cache_key("src", "fp")
+        cache.put(key, {"status": "ok"})  # must not raise
+        assert cache.get(key) is None
+        assert len(cache) == 0
+        assert root.read_text() == "not a directory\n"
 
 
 class TestDefaultCacheDir:

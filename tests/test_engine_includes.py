@@ -2,20 +2,19 @@
 tasks scanned where they run.
 
 The include resolver's unit semantics live in ``test_php_includes``;
-here the same behaviours are exercised end to end through
-``AuditTask(project_files=...)`` and the worker pool, plus the
-properties the closure work added: cache keys that move only with an
-entry's true dependency set, and entry tasks whose pooled verdicts
-equal the inline ones.
+here the same behaviours are exercised end to end through entry tasks
+and the worker pool, plus the properties the closure work added: cache
+keys that move only with an entry's true dependency set, and entry
+tasks whose pooled verdicts equal the inline ones.
 """
 
 import pytest
 
 from repro.engine import AuditEngine, AuditTask, EngineConfig, EntryTask, ResultCache
-from repro.engine.cache import policy_fingerprint
-from repro.engine.worker import project_content_digest
+from repro.engine.cache import cache_key, policy_fingerprint
+from repro.engine.worker import execute_task, project_content_digest
 from repro.php import SourceProject, scan_includes
-from repro.php.parsecache import ParseCache, content_digest
+from repro.php.parsecache import ParseCache
 from repro.websari.pipeline import WebSSARI
 
 VULN_ENTRY = "<?php include 'lib.php'; echo $tainted;\n"
@@ -29,6 +28,11 @@ def project_task(index, files, entry, **kwargs):
     )
 
 
+def entry(files, name):
+    """The engine task for entry ``name`` of the project ``files``."""
+    return EntryTask(0, name, name, SourceProject(files))
+
+
 def run(tasks, *, jobs=1, websari=None, cache=None):
     engine = AuditEngine(
         websari=websari or WebSSARI(),
@@ -40,7 +44,7 @@ def run(tasks, *, jobs=1, websari=None, cache=None):
 class TestEngineIncludeSemantics:
     def test_taint_flows_through_spliced_include(self):
         files = {"index.php": VULN_ENTRY, "lib.php": LIB}
-        result = run([project_task(0, files, "index.php")], jobs=2)
+        result = run([entry(files, "index.php")], jobs=2)
         outcome = result.outcomes[0]
         assert outcome.status == "ok" and outcome.safe is False
         assert outcome.includes["edges"] == 1
@@ -52,7 +56,7 @@ class TestEngineIncludeSemantics:
             "index.php": "<?php include_once 'lib.php'; include_once 'lib.php'; echo $x;\n",
             "lib.php": "<?php $x = 'ok';\n",
         }
-        result = run([project_task(0, files, "index.php")], jobs=2)
+        result = run([entry(files, "index.php")], jobs=2)
         outcome = result.outcomes[0]
         assert outcome.status == "ok" and outcome.safe is True
         # Both include_once statements create edges; only one splice.
@@ -64,27 +68,27 @@ class TestEngineIncludeSemantics:
             "a.php": "<?php include 'b.php';\n",
             "b.php": "<?php include 'a.php';\n",
         }
-        result = run([project_task(0, files, "a.php")], jobs=2)
+        result = run([entry(files, "a.php")], jobs=2)
         outcome = result.outcomes[0]
         assert outcome.status == "frontend-error"
         assert "cycle" in (outcome.error or "")
 
     def test_missing_require_is_a_frontend_error(self):
         files = {"index.php": "<?php require 'gone.php';\n"}
-        result = run([project_task(0, files, "index.php")], jobs=2)
+        result = run([entry(files, "index.php")], jobs=2)
         assert result.outcomes[0].status == "frontend-error"
         assert "not found" in (result.outcomes[0].error or "")
 
     def test_missing_include_warns_but_verifies(self):
         files = {"index.php": "<?php include 'gone.php'; echo 'hi';\n"}
-        result = run([project_task(0, files, "index.php")], jobs=2)
+        result = run([entry(files, "index.php")], jobs=2)
         outcome = result.outcomes[0]
         assert outcome.status == "ok" and outcome.safe is True
         assert any("gone.php" in w for w in outcome.warnings)
 
     def test_unresolved_dynamic_count_reaches_the_record(self):
         files = {"index.php": "<?php include $page; echo 'hi';\n"}
-        result = run([project_task(0, files, "index.php")])
+        result = run([entry(files, "index.php")])
         outcome = result.outcomes[0]
         assert outcome.includes["unresolved"] == 1
         record = outcome.to_record()
@@ -94,11 +98,12 @@ class TestEngineIncludeSemantics:
     def test_parse_cache_counters_surface_in_project_mode(self):
         websari = WebSSARI(parse_cache=ParseCache())
         files = {"index.php": VULN_ENTRY, "lib.php": SAFE_LIB}
-        first = run([project_task(0, files, "index.php")], websari=websari)
-        second = run([project_task(0, files, "index.php")], websari=websari)
+        first = run([entry(files, "index.php")], websari=websari)
+        second = run([entry(files, "index.php")], websari=websari)
+        # The scan parses both files; the splice then hits on both.
         assert first.outcomes[0].includes["parse_cache_misses"] == 2
-        assert first.outcomes[0].includes["parse_cache_hits"] == 0
-        assert second.outcomes[0].includes["parse_cache_hits"] == 2
+        assert first.outcomes[0].includes["parse_cache_hits"] == 2
+        assert second.outcomes[0].includes["parse_cache_hits"] == 4
         assert second.outcomes[0].includes["parse_cache_misses"] == 0
 
     def test_standalone_records_carry_no_cache_counters(self):
@@ -107,8 +112,9 @@ class TestEngineIncludeSemantics:
         # records produced by differently-warm processes).
         websari = WebSSARI(parse_cache=ParseCache())
         task = AuditTask(index=0, filename="a.php", source=SAFE_LIB)
-        result = run([task], websari=websari)
-        assert result.outcomes[0].includes == {}
+        assert execute_task(task, websari).includes == {}
+        # Warm: the same record.
+        assert execute_task(task, websari).includes == {}
 
 
 class TestClosureScopedCacheKeys:
@@ -173,7 +179,7 @@ class TestClosureScopedCacheKeys:
         project = SourceProject(files)
         scan = scan_includes(project, "index.php")
         closure = {p: files[p] for p in sorted(scan.closure)}
-        task = project_task(0, closure, "index.php")
+        task = entry(closure, "index.php")
         cache = ResultCache(tmp_path / "cache")
         first = run([task], websari=websari, cache=cache)
         second = run([task], websari=websari, cache=cache)
@@ -225,30 +231,27 @@ class TestPooledEntries:
         outcome = result.outcomes[0]
         assert list(outcome.timings)[0] == "scan"
         assert result.stats.stage_seconds["scan"] >= 0.0
-        page = "<?php include 'common.php'; echo $c;\n"
         assert outcome.scan.includes_by_file == {"page0.php": {"common.php"}, "common.php": set()}
-        assert outcome.scan.digests == {
-            "page0.php": content_digest(page),
-            "common.php": content_digest(self.COMMON),
-        }
         assert "scan" not in outcome.to_record()
 
     def test_entry_keys_equal_the_shaped_task_keys(self, tmp_path):
-        """The key an entry derives where it runs is the key a shaped
-        task gets in the parent, so either serves the other's record."""
+        """The key an entry derives where it runs is the key of its
+        closure-shaped task, so inline and pooled runs serve each
+        other's records."""
         cache = ResultCache(tmp_path / "cache")
+        websari = WebSSARI()
         tasks = self.entries()[:2]
         project = tasks[0].project
-        shaped = []
+        keys = []
         for task in tasks:
             scan = scan_includes(project, task.entry)
             closure = {p: project.source(p) for p in sorted(scan.closure)}
-            shaped.append(project_task(task.index, closure, task.entry))
-        first = run(shaped, cache=cache)
-        second = run(tasks, jobs=2, cache=cache)
-        assert [o.cache_key for o in second.outcomes] == [
-            o.cache_key for o in first.outcomes
-        ]
+            material, extra = project_task(task.index, closure, task.entry).cache_material()
+            keys.append(cache_key(material, policy_fingerprint(websari), extra))
+        first = run(tasks, websari=websari, cache=cache)
+        second = run(tasks, jobs=2, websari=websari, cache=cache)
+        assert [o.cache_key for o in first.outcomes] == keys
+        assert [o.cache_key for o in second.outcomes] == keys
         assert second.stats.cache_hits == 2
         # A hit carries this run's scan, and only that.
         assert all(set(o.timings) == {"scan"} for o in second.outcomes)

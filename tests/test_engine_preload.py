@@ -32,7 +32,8 @@ pytestmark = pytest.mark.skipif(
 AUDIT = """
 import json, sys
 from pathlib import Path
-from repro.engine import AuditEngine, AuditTask, EngineConfig
+from repro.engine import AuditEngine, EngineConfig, EntryTask
+from repro.php import SourceProject
 from repro.websari.pipeline import WebSSARI
 
 at_first_spawn = []
@@ -48,9 +49,8 @@ path = Path(sys.argv[1])
 engine = AuditEngine(
     websari=WebSSARI(replay=sys.argv[2] == "on"), config=EngineConfig(jobs=2)
 )
-(outcome,) = engine.run(
-    [AuditTask(index=0, filename=str(path), source=path.read_text())]
-).outcomes
+project = SourceProject({path.name: path.read_text()})
+(outcome,) = engine.run([EntryTask(0, str(path), path.name, project)]).outcomes
 print(json.dumps({
     "modules": at_first_spawn[0],
     "safe": outcome.safe,

@@ -12,7 +12,8 @@ import multiprocessing
 
 import pytest
 
-from repro.engine import AuditEngine, AuditTask, EngineConfig, WorkerSession
+from repro.engine import AuditEngine, EngineConfig, EntryTask, WorkerSession
+from repro.php import SourceProject
 from repro.replay import replay_source
 from repro.websari.pipeline import WebSSARI
 
@@ -29,16 +30,17 @@ TASKS = [
 ]
 
 
+def entry_tasks():
+    project = SourceProject(dict(TASKS))
+    return [EntryTask(i, name, name, project) for i, (name, _) in enumerate(TASKS)]
+
+
 def run_with(start_method, replay=False):
     engine = AuditEngine(
         websari=WebSSARI(replay=replay),
         config=EngineConfig(jobs=2, start_method=start_method),
     )
-    tasks = [
-        AuditTask(index=i, filename=name, source=src)
-        for i, (name, src) in enumerate(TASKS)
-    ]
-    result = engine.run(tasks)
+    result = engine.run(entry_tasks())
     return {o.filename: (o.status, o.safe) for o in result.outcomes}
 
 
@@ -65,11 +67,7 @@ def replay_sections(start_method):
         websari=WebSSARI(replay=True),
         config=EngineConfig(jobs=2, start_method=start_method),
     )
-    tasks = [
-        AuditTask(index=i, filename=name, source=src)
-        for i, (name, src) in enumerate(TASKS)
-    ]
-    result = engine.run(tasks)
+    result = engine.run(entry_tasks())
     return {
         o.filename: json.dumps(o.replay, sort_keys=True) for o in result.outcomes
     }

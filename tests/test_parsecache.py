@@ -6,7 +6,7 @@ import pytest
 
 from repro.php import ast_nodes as ast
 from repro.php.errors import ParseError
-from repro.php.parsecache import IncludeGraph, ParseCache, content_digest
+from repro.php.parsecache import IncludeGraph, ParseCache
 
 SRC = "<?php $x = 1;\n"
 OTHER = "<?php $y = 2;\n"
@@ -91,19 +91,11 @@ class TestNoTreesOnDisk:
         assert not list(cache.rglob("*.pkl"))
 
 
-class TestContentDigest:
-    def test_stable_and_content_addressed(self):
-        assert content_digest(SRC) == content_digest(SRC)
-        assert content_digest(SRC) != content_digest(OTHER)
-        assert len(content_digest(SRC)) == 64
-
-
 class TestIncludeGraph:
     def test_update_and_query(self):
         graph = IncludeGraph()
-        graph.update_file("a.php", ["lib.php"], digest="d1")
+        graph.update_file("a.php", ["lib.php"])
         assert graph.includes_of("a.php") == {"lib.php"}
-        assert graph.digest_of("a.php") == "d1"
         assert graph.edge_count == 1 and len(graph) == 1
 
     def test_update_replaces_out_edges_wholesale(self):
@@ -134,8 +126,7 @@ class TestIncludeGraph:
         # their splice result changes from "spliced lib" to "missing lib".
         graph = IncludeGraph()
         graph.update_file("page.php", ["lib.php"])
-        graph.update_file("lib.php", [], digest="d")
+        graph.update_file("lib.php", [])
         graph.remove_file("lib.php")
         assert graph.includers_of(["lib.php"]) == {"page.php"}
-        assert graph.digest_of("lib.php") is None
         assert len(graph) == 1

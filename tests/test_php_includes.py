@@ -10,7 +10,7 @@ from repro.php import (
     scan_includes,
 )
 from repro.php import ast_nodes as ast
-from repro.php.parsecache import ParseCache, content_digest
+from repro.php.parsecache import ParseCache
 
 
 def project(**files):
@@ -290,14 +290,6 @@ class TestScanIncludes:
         assert scan.includes_by_file["mid.php"] == {"leaf.php"}
         assert scan.includes_by_file["leaf.php"] == set()
         assert not scan.widened
-
-    def test_digests_stamp_closure_members(self):
-        p = project(**{
-            "index.php": "<?php include 'lib.php';",
-            "lib.php": "<?php $x = 1;",
-        })
-        scan = scan_includes(p, "index.php")
-        assert scan.digests["lib.php"] == content_digest("<?php $x = 1;")
 
     def test_missing_target_recorded_not_raised(self):
         p = project(**{"index.php": "<?php require 'gone.php'; $x = 1;"})

@@ -269,12 +269,20 @@ def entry_tasks(project, whole=None):
 
 
 class TestOnePipeline:
-    """The engine worker and ``verify_project`` run one stage sequence."""
+    """The engine worker and whole-project ``verify_file`` run one stage
+    sequence."""
 
-    def test_worker_matches_sequential_verify_project(self):
+    @staticmethod
+    def whole_project_reports(project, websari):
+        return {
+            path: websari.verify_file(path, project=project, entry=path)[0]
+            for path in project.paths()
+        }
+
+    def test_worker_matches_whole_project_verify_file(self):
         project = generate_catalog_project(FIGURE_10[0], seed=2004).project
         websari = WebSSARI()
-        sequential = {r.filename: r for r in websari.verify_project(project).reports}
+        sequential = self.whole_project_reports(project, websari)
         tasks = entry_tasks(project)
         # The corpus exercises both bounded shapes.
         assert {t.source is not None for t in tasks} == {True, False}
@@ -288,6 +296,20 @@ class TestOnePipeline:
             assert outcome.num_statements == report.num_statements
             assert outcome.ts_errors == report.ts_error_count
             assert outcome.bmc_groups == report.bmc_group_count
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_project_matches_whole_project_verify_file(self, jobs):
+        project = generate_catalog_project(FIGURE_10[0], seed=2004).project
+        websari = WebSSARI()
+        reference = self.whole_project_reports(project, websari)
+        reports = websari.verify_project(project, jobs=jobs).reports
+        assert [r.filename for r in reports] == list(reference)
+        for report in reports:
+            expected = reference[report.filename]
+            assert report.summary() == expected.summary()
+            assert report.detailed_report() == expected.detailed_report()
+            assert report.warnings == expected.warnings
+            assert report.num_statements == expected.num_statements
 
 
 class TestParseOnce:
