@@ -448,7 +448,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 any_error = True
                 continue
             report = outcome.report
-            print(outcome.detailed if args.detailed else outcome.summary)
+            print(report.detailed_report() if args.detailed else report.summary())
             if args.stats:
                 for line in _solver_stats_lines(report):
                     print(line)

@@ -17,9 +17,10 @@ Everything crossing the process boundary (task in, outcome out) is
 picklable; the outcome additionally round-trips through JSON
 (``to_record``/``from_record``) so it can live in the result cache and
 the JSONL sink.  The full :class:`VerificationReport` object is attached
-only when ``want_report`` is set (used by ``verify_project``), and the
-entry's include scan only for the caller's include graph; both are
-deliberately excluded from the JSON record.
+only when ``want_report`` is set (used by ``verify_project`` and
+``repro verify``, which render from it, so the outcome's report texts
+stay empty), and the entry's include scan only for the caller's include
+graph; both are deliberately excluded from the JSON record.
 """
 
 from __future__ import annotations
@@ -226,6 +227,8 @@ class FileOutcome:
     num_ai_branches: int = 0
     num_ai_assertions: int = 0
     warnings: list[str] = field(default_factory=list)
+    #: The report texts, left empty when :attr:`report` is attached
+    #: (its caller renders what it prints from the report itself).
     summary: str = ""
     detailed: str = ""
     error: str | None = None
@@ -359,8 +362,9 @@ def _run_stages(
 
     replay_info: dict = {}
     if websari.replay and not report.safe:
-        # The original sources come from the parse stage's memo; patched
-        # sources stay task-local (see repro.replay.replayer._TaskParses).
+        # The original trees come from the parse stage's memo, and the
+        # patched ones are spliced from them, never parsed (see
+        # repro.replay.replayer._TaskParses).
         # The import sits inside the stage so a worker that has to load
         # the replay stage times that load as replay, not between stages.
         with stage("replay", timings):
@@ -381,8 +385,8 @@ def _run_stages(
         num_ai_branches=report.num_ai_branches,
         num_ai_assertions=report.num_ai_assertions,
         warnings=list(report.warnings),
-        summary=report.summary(),
-        detailed=report.detailed_report(),
+        summary="" if want_report else report.summary(),
+        detailed="" if want_report else report.detailed_report(),
         includes=includes,
         solver={
             "backend": bmc_result.solver_backend,

@@ -11,19 +11,34 @@ Two strategies, matching the paper's comparison:
 
 Both operate as pure text edits against the original source, so the
 output remains runnable PHP (and re-analyzable: verifying an
-instrumented file reports it safe, which the tests check).
+instrumented file reports it safe, which the tests check).  The
+``collect_*`` helpers return the edits; :func:`apply_edits` applies them
+to the text, and :func:`splice_edits` applies the same edits, in the
+same order, to the original file's parsed tree.  Witness replay runs the
+patched program from the spliced tree, so it never parses patched text;
+the spliced tree equals the parse of the patched text up to spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.analysis.grouping import GroupingResult
 from repro.instrument.guards import GUARD_FUNCTION_NAME
+from repro.php import ast_nodes as ast
+from repro.php.parser import parse
 from repro.php.span import Span
 from repro.typestate.ts import TSReport
 
-__all__ = ["InstrumentationResult", "instrument_ts", "instrument_bmc"]
+__all__ = [
+    "InstrumentationResult",
+    "SpliceError",
+    "instrument_ts",
+    "instrument_bmc",
+    "apply_edits",
+    "splice_edits",
+]
 
 
 @dataclass
@@ -51,7 +66,11 @@ class _Edit:
         return (self.offset, 0 if self.kind == "wrap" else 1)
 
 
-def _apply_edits(source: str, edits: list[_Edit]) -> str:
+def _ordered_edits(edits: list[_Edit]) -> list[_Edit]:
+    """The distinct edits in the order they are applied: from the end of
+    the file backwards, so earlier offsets stay valid.  Edits at one
+    offset keep their collection order, so the text of the later one
+    lands in front."""
     seen: set[tuple] = set()
     unique: list[_Edit] = []
     for edit in edits:
@@ -59,7 +78,11 @@ def _apply_edits(source: str, edits: list[_Edit]) -> str:
         if key not in seen:
             seen.add(key)
             unique.append(edit)
-    for edit in sorted(unique, key=_Edit.sort_key, reverse=True):
+    return sorted(unique, key=_Edit.sort_key, reverse=True)
+
+
+def _apply_edits(source: str, edits: list[_Edit]) -> str:
+    for edit in _ordered_edits(edits):
         if edit.kind == "insert":
             source = source[: edit.offset] + edit.text + source[edit.offset :]
         else:
@@ -72,23 +95,34 @@ def _apply_edits(source: str, edits: list[_Edit]) -> str:
     return source
 
 
-def _statement_end(source: str, span: Span) -> int:
-    """Offset just after the statement at ``span`` ends.
+def _statement_end(source: str, span: Span) -> tuple[int, str]:
+    """Where a guard goes after the statement at ``span`` ends, and the
+    text that must precede the guard there.
 
-    Normally the next ``;``.  When a ``{`` appears first, the span sits
-    in the condition of a compound statement (``while ($row = ...) {``),
-    and the insertion point is the start of that body so the guard runs
-    each iteration, right after the assignment.
+    Normally just after the next ``;``.  When a ``{`` appears first, the
+    span sits in the condition of a compound statement (``while ($row =
+    ...) {``), and the insertion point is the start of that body so the
+    guard runs each iteration, right after the assignment.  When a
+    ``?>`` closing tag appears first, the tag ends the statement: the
+    guard goes in front of the tag, after a ``;`` that ends the
+    statement in its place.
     """
-    semicolon = source.find(";", span.end.offset)
-    brace = source.find("{", span.end.offset)
-    if semicolon == -1 and brace == -1:
-        return len(source)
-    if semicolon == -1:
-        return brace + 1
-    if brace != -1 and brace < semicolon:
-        return brace + 1
-    return semicolon + 1
+    after = span.end.offset
+    candidates = [
+        (index, kind)
+        for index, kind in (
+            (source.find(";", after), ";"),
+            (source.find("{", after), "{"),
+            (source.find("?>", after), "?>"),
+        )
+        if index != -1
+    ]
+    if not candidates:
+        return len(source), ""
+    index, kind = min(candidates)
+    if kind == "?>":
+        return index, ";"
+    return index + 1, ""
 
 
 def _statement_start(source: str, span: Span) -> int:
@@ -220,11 +254,12 @@ def collect_bmc_edits(
             if target is None and group.php_name is not None and "->" not in group.fix_variable:
                 target = f"${group.php_name}"
             if target is not None:
+                offset, terminator = _statement_end(source, span)
                 edits.append(
                     _Edit(
-                        offset=_statement_end(source, span),
+                        offset=offset,
                         kind="insert",
-                        text=_guard_statement(target),
+                        text=terminator + _guard_statement(target),
                     )
                 )
                 patched = True
@@ -261,6 +296,122 @@ def instrument_bmc(
 def apply_edits(source: str, edits: list[_Edit]) -> str:
     """Apply (deduplicated) edits collected by the ``collect_*`` helpers."""
     return _apply_edits(source, edits)
+
+
+class SpliceError(ValueError):
+    """An edit that has no place in the parsed tree."""
+
+
+def splice_edits(program: ast.Program, edits: list[_Edit]) -> ast.Program:
+    """``program`` with ``edits`` applied to the tree instead of the text.
+
+    The result equals ``parse(apply_edits(source, edits))`` up to spans,
+    where ``program`` is the parse of ``source``: the edits are
+    deduplicated and applied in the order :func:`apply_edits` uses.
+
+    * An ``insert`` becomes its parsed guard statement, placed in the
+      innermost statement list (of a ``Program``, ``Block`` or
+      ``SwitchCase``) whose neighbours bracket the edit's offset.  The
+      guard gets a point span at that offset (line and column 0), so a
+      later guard at the same offset lands in front of it, as its text
+      does.
+    * A ``wrap`` replaces the outermost expression spanning exactly
+      ``[offset, end)`` with a call of the guard function on it.
+
+    Raises :class:`SpliceError` for an edit with no such place, for
+    example a guard inside a ``for`` header or between a braceless
+    ``if`` body and its ``else``.
+    """
+    filename = program.span.filename
+    for edit in _ordered_edits(edits):
+        if edit.kind == "insert":
+            point = Span.point(filename, edit.offset, 0, 0)
+            guards = tuple(
+                replace(stmt, span=point) for stmt in _guard_statements(edit.text)
+            )
+            spliced = _insert(program, edit.offset, guards)
+            where = f"no statement boundary for the guard at offset {edit.offset}"
+        else:
+            spliced = _wrap(program, edit.offset, edit.end)
+            where = f"no expression spans offsets {edit.offset}-{edit.end}"
+        if spliced is None:
+            raise SpliceError(f"{where} of {filename}")
+        program = spliced
+    return program
+
+
+@lru_cache(maxsize=256)
+def _guard_statements(text: str) -> tuple[ast.Statement, ...]:
+    return parse("<?php " + text, "<guard>").statements
+
+
+def _children(node: ast.Node):
+    """``(field, index, child)`` for each child node; ``index`` is None
+    for a field that holds the node itself rather than a tuple."""
+    for name in ast.child_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, ast.Node):
+            yield name, None, value
+        elif isinstance(value, tuple):
+            for index, item in enumerate(value):
+                if isinstance(item, ast.Node):
+                    yield name, index, item
+
+
+def _with_child(node: ast.Node, name: str, index: int | None, child: ast.Node):
+    if index is None:
+        return replace(node, **{name: child})
+    items = getattr(node, name)
+    return replace(node, **{name: items[:index] + (child,) + items[index + 1 :]})
+
+
+def _insert(node: ast.Node, offset: int, guards: tuple) -> ast.Node | None:
+    """``node`` with ``guards`` placed at ``offset``, or None."""
+    if isinstance(node, ast.Switch):
+        # A case's span covers only its keyword; its body runs up to the
+        # next case's keyword.
+        before = [
+            i for i, case in enumerate(node.cases) if case.span.end.offset <= offset
+        ]
+        if not before:
+            return None
+        placed = _insert(node.cases[before[-1]], offset, guards)
+        return None if placed is None else _with_child(node, "cases", before[-1], placed)
+    for name, index, child in _children(node):
+        if child.span.start.offset < offset < child.span.end.offset:
+            placed = _insert(child, offset, guards)
+            return None if placed is None else _with_child(node, name, index, placed)
+    if isinstance(node, (ast.Program, ast.Block)):
+        name = "statements"
+    elif isinstance(node, ast.SwitchCase) and (
+        node.test is None or node.test.span.end.offset <= offset
+    ):
+        name = "body"
+    else:
+        return None
+    items = getattr(node, name)
+    index = next(
+        (i for i, stmt in enumerate(items) if stmt.span.start.offset >= offset),
+        len(items),
+    )
+    return replace(node, **{name: items[:index] + guards + items[index:]})
+
+
+def _wrap(node: ast.Node, start: int, end: int) -> ast.Node | None:
+    """``node`` with the expression spanning ``[start, end)`` guarded, or None."""
+    span = node.span
+    if (
+        isinstance(node, ast.Expression)
+        and span.start.offset == start
+        and span.end.offset == end
+    ):
+        return ast.FunctionCall(span, GUARD_FUNCTION_NAME, (node,))
+    for name, index, child in _children(node):
+        if child.span.start.offset <= start and end <= child.span.end.offset:
+            wrapped = _wrap(child, start, end)
+            if wrapped is not None:
+                return _with_child(node, name, index, wrapped)
+    return None
 
 
 def _sink_arg_spans(trace, filename: str) -> list[Span]:

@@ -8,7 +8,8 @@ information flow (paper §3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cache
 
 from repro.php.span import Span
 
@@ -67,6 +68,7 @@ __all__ = [
     "StaticStatement",
     "StaticVar",
     "UnsetStatement",
+    "child_fields",
 ]
 
 
@@ -443,3 +445,17 @@ class StaticStatement(Statement):
 @dataclass(frozen=True, slots=True)
 class UnsetStatement(Statement):
     operands: tuple[Expression, ...]
+
+
+#: Field annotations that never hold a node.
+_LEAF_TYPES = frozenset(
+    {"Span", "bool", "int", "object", "str", "str | None", "tuple[str, ...]"}
+)
+
+
+@cache
+def child_fields(node_type: type) -> tuple[str, ...]:
+    """The fields of ``node_type`` that can hold nodes, in declaration
+    order: each holds a node, ``None`` or a tuple whose items may be
+    nodes.  Tree walks read this table instead of every field."""
+    return tuple(f.name for f in fields(node_type) if f.type not in _LEAF_TYPES)

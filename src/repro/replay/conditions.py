@@ -21,8 +21,6 @@ and only the refutation verdict requires every deciding branch solved.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.php import ast_nodes as ast
 from repro.php.span import Span
 from repro.replay.sentinel import SENTINEL
@@ -110,18 +108,6 @@ def index_conditions(program: ast.Program) -> dict[Span, "ast.Expression | None"
 # -- input discovery ---------------------------------------------------------
 
 
-def _walk_nodes(node):
-    yield node
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, ast.Node):
-            yield from _walk_nodes(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    yield from _walk_nodes(item)
-
-
 def _input_slot(expr) -> "tuple[str, str] | None":
     """(channel, key) when ``expr`` reads one attacker-controlled input."""
     if isinstance(expr, ast.ArrayDim) and isinstance(expr.base, ast.Variable):
@@ -147,12 +133,29 @@ def _input_slot(expr) -> "tuple[str, str] | None":
 
 
 def collect_input_keys(program: ast.Program) -> list[tuple[str, str]]:
-    """Every (channel, key) the program can read, in first-seen order."""
+    """Every (channel, key) the program can read, in first-seen order
+    (a pre-order walk of the tree)."""
     seen: dict[tuple[str, str], None] = {}
-    for node in _walk_nodes(program):
-        slot = _input_slot(node)
-        if slot is not None:
-            seen.setdefault(slot, None)
+    stack: list = [program]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        node_type = type(node)
+        if node_type is ast.ArrayDim or node_type is ast.Variable:
+            slot = _input_slot(node)
+            if slot is not None:
+                seen.setdefault(slot, None)
+        # Push the children last-first, so they pop in source order.  A
+        # child field holds a node, None or a tuple (whose items may also
+        # be None or, in an interpolated string, text).
+        for name in reversed(ast.child_fields(node_type)):
+            value = getattr(node, name)
+            if type(value) is tuple:
+                for item in reversed(value):
+                    if isinstance(item, ast.Node):
+                        push(item)
+            elif value is not None:
+                push(value)
     return list(seen)
 
 

@@ -25,8 +25,9 @@ For each :class:`~repro.bmc.trace.CounterexampleTrace` the replayer
      failure — unsupported traces quarantine.
 
 4. optionally re-runs the *patched* program (cause-site guards from
-   :mod:`repro.instrument`) under the same request, asserting the payload
-   no longer reaches the sink — the auto-patcher's end-to-end validation.
+   :mod:`repro.instrument`, spliced into the original parsed trees)
+   under the same request, asserting the payload no longer reaches the
+   sink — the auto-patcher's end-to-end validation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 from repro.interp.environment import HttpRequest
 from repro.interp.interpreter import PhpRuntimeError, run_php
 from repro.php.includes import ParseHook
-from repro.php.parser import parse
 from repro.replay.conditions import (
     ABSENT,
     Constraints,
@@ -189,29 +189,49 @@ class _TaskParses:
     it.  A parse failure is memoised as its exception and re-raised, so
     every trace that meets it reports the same reason.
 
-    Original sources parse through ``parse_hook`` (the engine worker
-    passes its parse cache, which already holds them).  Patched sources
-    that differ from the original use the plain parser and live only in
-    this memo: no other task reads them, so they stay out of the
-    verifier's in-memory parse cache, where they would only take LRU
-    slots from trees later tasks do read.
+    Sources parse through ``parse_hook`` (the engine worker passes its
+    parse cache, which already holds them).  Patched programs are never
+    parsed: :meth:`patched_hook` splices the BMC strategy's guards into
+    these trees (:func:`repro.instrument.instrumentor.splice_edits`).
     """
 
     def __init__(self, parse_hook: ParseHook | None = None) -> None:
-        self._hook = parse_hook if parse_hook is not None else parse
-        self._memo: dict[tuple[str, str], object] = {}
+        if parse_hook is None:
+            from repro.php.parser import parse as parse_hook
+        self._hook = parse_hook
+        self._memo: dict[tuple, object] = {}
 
     def original(self, text: str, filename: str):
-        return self._get(text, filename, self._hook)
+        return self._get((text, filename), lambda: self._hook(text, filename))
 
-    def patched(self, text: str, filename: str):
-        return self._get(text, filename, parse)
+    def patched_hook(self, sources: dict[str, str], grouping) -> ParseHook:
+        """The parse hook of the patched program: for each file the BMC
+        strategy edits, its tree with the guards spliced in (a file whose
+        edits have no place in its tree raises
+        :class:`~repro.instrument.instrumentor.SpliceError`); every
+        other file's tree as :meth:`original` gives it."""
+        from repro.instrument.instrumentor import collect_bmc_edits, splice_edits
 
-    def _get(self, text: str, filename: str, do_parse):
-        key = (text, filename)
+        edits = {}
+        for filename, text in sources.items():
+            file_edits, _notes = collect_bmc_edits(text, grouping, filename)
+            if file_edits:
+                edits[filename] = file_edits
+
+        def hook(text: str, filename: str):
+            if filename not in edits:
+                return self.original(text, filename)
+            return self._get(
+                (text, filename, "patched"),
+                lambda: splice_edits(self.original(text, filename), edits[filename]),
+            )
+
+        return hook
+
+    def _get(self, key: tuple, make):
         if key not in self._memo:
             try:
-                self._memo[key] = do_parse(text, filename)
+                self._memo[key] = make()
             except Exception as exc:  # noqa: BLE001 - re-raised to each caller
                 self._memo[key] = exc
         outcome = self._memo[key]
@@ -236,16 +256,6 @@ def _parse_tables(sources: dict[str, str], do_parse: ParseHook):
         for slot in collect_input_keys(program):
             input_keys.setdefault(slot, None)
     return table, list(input_keys)
-
-
-def _patched_sources(sources: dict[str, str], grouping) -> dict[str, str]:
-    from repro.instrument.instrumentor import apply_edits, collect_bmc_edits
-
-    patched: dict[str, str] = {}
-    for filename, text in sources.items():
-        edits, _notes = collect_bmc_edits(text, grouping, filename)
-        patched[filename] = apply_edits(text, edits) if edits else text
-    return patched
 
 
 def request_identity(request: HttpRequest) -> tuple:
@@ -287,7 +297,8 @@ def replay_counterexamples(
     state (stored-taint scenarios); by default each trace runs against a
     fresh environment.  Every source is parsed once for the whole call;
     ``parse_hook`` (default :func:`repro.php.parser.parse`) parses the
-    original sources.
+    original sources, and the patched program is spliced from their
+    trees, never parsed.
 
     A run against a fresh environment is a pure function of program and
     request (the interpreter is deterministic), so traces that
@@ -372,9 +383,7 @@ def replay_counterexamples(
 
         if result.verdict == "confirmed" and grouping is not None:
             if patched is None:
-                patched = program(
-                    _patched_sources(sources, grouping), parses.patched
-                )
+                patched = program(sources, parses.patched_hook(sources, grouping))
             patched_channel, error = run(patched, request)
             if isinstance(error, PhpRuntimeError):
                 result.patched = "unsupported"
