@@ -560,7 +560,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         default_cache_dir,
     )
     from repro.engine.sharding import parse_shard
-    from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+    from repro.obs import RunTotals, Tracer, render_prometheus, write_chrome_trace
 
     shard = None
     if args.shard:
@@ -591,7 +591,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir or default_cache_dir())
     sink = JsonlSink(args.jsonl) if args.jsonl else None
     tracer = Tracer(enabled=True) if args.trace else None
-    metrics = MetricsRegistry() if args.metrics else None
+    metrics = RunTotals() if args.metrics else None
     config = EngineConfig(
         jobs=max(1, args.jobs),
         timeout=args.timeout,
@@ -611,7 +611,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             write_chrome_trace(args.trace, tracer.take_roots())
             print(f"wrote trace to {args.trace}", file=sys.stderr)
         if metrics is not None:
-            args.metrics.write_text(metrics.render())
+            args.metrics.write_text(render_prometheus(metrics))
             print(f"wrote metrics to {args.metrics}", file=sys.stderr)
 
     for outcome in result.outcomes:
@@ -640,7 +640,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.daemon import MetricsServer, WatchLoop
     from repro.daemon.metrics_server import parse_bind
     from repro.engine import HotResultCache, default_cache_dir
-    from repro.obs import MetricsRegistry
+    from repro.obs import RunTotals, render_prometheus
 
     if not args.root.is_dir():
         print(f"watch: {args.root} is not a directory", file=sys.stderr)
@@ -664,8 +664,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # the first cycle of every process audits every file anyway.
     from repro.php.parsecache import IncludeGraph
 
-    # Nothing reads the registry unless it is served.
-    metrics = MetricsRegistry() if bind is not None else None
+    # Nothing reads the totals unless they are served.
+    metrics = RunTotals() if bind is not None else None
     stop = threading.Event()
     loop = WatchLoop(
         args.root,
@@ -702,7 +702,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     try:
         if bind is not None:
             server = MetricsServer(
-                metrics, host=bind[0], port=bind[1], health=loop.health
+                lambda: render_prometheus(metrics, loop.health()),
+                host=bind[0], port=bind[1], health=loop.health,
             ).start()
             note = " (requested port busy; fell back)" if server.fell_back else ""
             print(

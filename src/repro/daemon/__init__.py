@@ -16,9 +16,10 @@ stat calls and a changed file costs one verification.
   query cache, one merged JSONL stream per cycle (``repro report
   --diff`` works between any two cycles), graceful signal drain.
 * :class:`~repro.daemon.metrics_server.MetricsServer` — stdlib HTTP
-  endpoint on a daemon thread serving the live
-  :class:`~repro.obs.MetricsRegistry` in Prometheus text format plus a
-  ``/healthz`` JSON probe.
+  endpoint on a daemon thread serving the live Prometheus text (the
+  loop's run totals and counters, rendered by
+  :func:`~repro.obs.metrics.render_prometheus`) plus a ``/healthz``
+  JSON probe.
 
 See docs/DAEMON.md for the full operational story.
 """

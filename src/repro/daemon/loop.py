@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.daemon.watcher import TreeWatcher
 from repro.engine import AuditEngine, EngineConfig, EngineResult, EntryTask, JsonlSink
 from repro.engine.cache import ResultCache
-from repro.obs import MetricsRegistry
+from repro.obs import RunTotals
 from repro.php.errors import IncludeError
 from repro.php.includes import SourceProject, TreeProject, scan_includes
 from repro.php.parsecache import IncludeGraph
@@ -85,7 +85,7 @@ class WatchLoop:
         interval: float = 2.0,
         debounce: float = 0.5,
         out_dir: str | Path | None = None,
-        metrics: MetricsRegistry | None = None,
+        metrics: RunTotals | None = None,
         stop_event: threading.Event | None = None,
         clock=time.time,
         pattern: str = "*.php",
@@ -104,14 +104,18 @@ class WatchLoop:
         self.start_method = start_method
         self.interval = interval
         self.out_dir = Path(out_dir) if out_dir is not None else None
+        #: Caller-owned run totals every cycle's outcomes fold into (the
+        #: engine's ``EngineConfig.metrics``); None folds nothing extra.
         self.metrics = metrics
         self.stop_event = stop_event if stop_event is not None else threading.Event()
         self.quiet = quiet
         self.stream = stream if stream is not None else sys.stderr
         #: Completed (non-idle) cycles; cycle JSONL files are numbered by it.
         self.cycles = 0
-        #: Total polls, idle ones included.
-        self.polls = 0
+        #: Polls that found nothing to audit / that started a cycle (two
+        #: counters, so a reader on another thread sees each only grow).
+        self.idle_polls = 0
+        self.dirty_polls = 0
         self.last_dirty = 0
         self.last_cycle_seconds = 0.0
         #: Includers pulled in by the graph in the last cycle / in total.
@@ -119,6 +123,11 @@ class WatchLoop:
         self.includers_invalidated = 0
         #: Last known JSON record per live path (feeds every cycle stream).
         self._records: dict[str, dict] = {}
+
+    @property
+    def polls(self) -> int:
+        """Total polls, idle ones included."""
+        return self.idle_polls + self.dirty_polls
 
     # -- path mapping -------------------------------------------------------
 
@@ -139,17 +148,11 @@ class WatchLoop:
         Returns None for an idle poll.  Drives everything through
         injectable clocks, so tests step cycles without real sleeps.
         """
-        self.polls += 1
         delta = self.watcher.poll()
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_watch_polls_total", "tree polls by outcome"
-            ).inc(outcome="dirty" if delta else "idle")
-            self.metrics.gauge(
-                "repro_watch_tracked_files", "files in the current snapshot"
-            ).set(self.watcher.tracked)
         if not delta:
+            self.idle_polls += 1
             return None
+        self.dirty_polls += 1
 
         for path in delta.gone:
             self._records.pop(path, None)
@@ -175,8 +178,8 @@ class WatchLoop:
             for index, path in enumerate(dirty)
         ]
 
-        self.cycles += 1
-        # The engine observes each file into the long-lived registry as it
+        number = self.cycles + 1
+        # The engine folds each file into the long-lived totals as it
         # finishes, so a scrape mid-cycle sees the cycle's progress.
         config = EngineConfig(
             jobs=self.jobs,
@@ -201,29 +204,17 @@ class WatchLoop:
                 continue
             self._records[outcome.filename] = outcome.to_record()
 
-        stream_path = self._write_stream(result, interrupted, invalidated)
+        stream_path = self._write_stream(number, result, interrupted, invalidated)
         self.last_dirty = len(dirty)
         self.last_cycle_seconds = result.stats.wall_seconds
         self.last_invalidated = len(invalidated)
         self.includers_invalidated += len(invalidated)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_watch_cycles_total", "completed re-audit cycles"
-            ).inc()
-            self.metrics.gauge(
-                "repro_watch_dirty_files", "dirty files in the last cycle"
-            ).set(len(dirty))
-            self.metrics.gauge(
-                "repro_watch_cycle_seconds", "engine wall seconds of the last cycle"
-            ).set(result.stats.wall_seconds)
-            if invalidated:
-                self.metrics.counter(
-                    "repro_watch_includers_invalidated_total",
-                    "files re-audited because they include a dirty file",
-                ).inc(len(invalidated))
+        # Counted once its stream exists: a reader that sees the count
+        # can open the stream.
+        self.cycles = number
         stats = result.stats
         self._say(
-            f"watch: cycle {self.cycles}: {len(dirty)} dirty"
+            f"watch: cycle {number}: {len(dirty)} dirty"
             + (f" ({len(invalidated)} via includes)" if invalidated else "")
             + f", {len(delta.gone)} gone; {stats.safe} safe, "
             f"{stats.vulnerable} vulnerable, {stats.failed} failed "
@@ -231,7 +222,7 @@ class WatchLoop:
             + (" [interrupted]" if interrupted else "")
         )
         return CycleResult(
-            number=self.cycles,
+            number=number,
             dirty=dirty,
             deleted=delta.gone,
             result=result,
@@ -261,7 +252,7 @@ class WatchLoop:
                 self.include_graph.update_file(path, targets)
 
     def _write_stream(
-        self, result: EngineResult, interrupted: bool, invalidated: list[str]
+        self, number: int, result: EngineResult, interrupted: bool, invalidated: list[str]
     ) -> Path | None:
         """One merged JSONL per cycle: fresh records for dirty files plus
         carried-over records for everything unchanged, then the engine
@@ -271,12 +262,12 @@ class WatchLoop:
         keep the telemetry of the cycle that produced them."""
         if self.out_dir is None:
             return None
-        path = self.out_dir / f"cycle-{self.cycles:06d}.jsonl"
+        path = self.out_dir / f"cycle-{number:06d}.jsonl"
         with JsonlSink(path) as sink:
             for filename in sorted(self._records):
                 sink.write_file(self._records[filename])
             trailer = result.stats.as_dict()
-            trailer["cycle"] = self.cycles
+            trailer["cycle"] = number
             trailer["watched_files"] = self.watcher.tracked
             if invalidated:
                 trailer["includers_invalidated"] = len(invalidated)
@@ -296,11 +287,14 @@ class WatchLoop:
         return 0
 
     def health(self) -> dict:
-        """JSON payload for the metrics server's ``/healthz`` endpoint."""
+        """JSON payload for the metrics server's ``/healthz`` endpoint;
+        its counters are also the ``repro_watch_*`` metric families."""
+        idle, dirty = self.idle_polls, self.dirty_polls
         return {
             "status": "draining" if self.stop_event.is_set() else "ok",
             "cycles": self.cycles,
-            "polls": self.polls,
+            "polls": idle + dirty,
+            "idle_polls": idle,
             "tracked_files": self.watcher.tracked,
             "last_dirty": self.last_dirty,
             "last_cycle_seconds": round(self.last_cycle_seconds, 6),

@@ -3,14 +3,16 @@
 A stdlib ``ThreadingHTTPServer`` on a daemon thread (``repro watch
 --serve-metrics``), serving:
 
-* ``GET /metrics`` (and ``/``) — the live
-  :meth:`~repro.obs.MetricsRegistry.render` Prometheus text snapshot;
+* ``GET /metrics`` (and ``/``) — the Prometheus text a render callable
+  returns (the watch daemon renders its run totals and loop counters
+  with :func:`~repro.obs.metrics.render_prometheus`);
 * ``GET /healthz`` — a JSON liveness payload from an injectable callable
   (the watch loop reports cycle counters and drain state through it).
 
-Scrapes are safe during an active audit cycle: the registry's sample
-renderers snapshot their state under the registry lock, so a scrape
-concurrent with worker-outcome recording never sees a mid-mutation dict.
+Both callables run on the server's request threads, so they must be
+safe to call while the daemon works: ``render_prometheus`` reads the
+run totals under their lock, so a scrape concurrent with an outcome
+folding in never sees a half-added record.
 A handler that raises (say, a failing health callable) answers 500 and
 the server keeps serving.  If the requested port is taken, the server
 falls back to an ephemeral port (``port == 0``) and exposes the actual
@@ -25,8 +27,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import DEFAULT_QUANTILES, PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 
 __all__ = ["MetricsServer", "parse_bind", "PROMETHEUS_CONTENT_TYPE"]
 
@@ -50,7 +51,8 @@ def parse_bind(spec: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
 
 
 class MetricsServer:
-    """Serve a registry over HTTP from a daemon thread.
+    """Serve ``render()`` (Prometheus text) and ``health()`` (a JSON
+    payload) over HTTP from a daemon thread.
 
     Usable as a context manager; :meth:`close` shuts the listener down
     cleanly (pending requests finish, the socket is released).  If the
@@ -61,15 +63,13 @@ class MetricsServer:
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        render,
         host: str = "127.0.0.1",
         port: int = 0,
         health=None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     ) -> None:
-        self.registry = registry
+        self.render = render
         self.health = health if health is not None else (lambda: {"status": "ok"})
-        self.quantiles = tuple(quantiles)
         self.requested_port = port
         #: True when ``port`` was taken and an ephemeral one was bound.
         self.fell_back = False
@@ -118,7 +118,7 @@ class MetricsServer:
         """Map one GET ``path`` (query string stripped) to
         ``(status, content_type, body)``."""
         if path in ("/metrics", "/"):
-            payload = self.registry.render(quantiles=self.quantiles).encode()
+            payload = self.render().encode()
             return 200, PROMETHEUS_CONTENT_TYPE, payload
         if path == "/healthz":
             payload = (json.dumps(self.health(), sort_keys=True) + "\n").encode()

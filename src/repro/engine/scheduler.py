@@ -47,6 +47,9 @@ Design (persistent workers, pipelined two-deep):
   task's content-addressed key is derived and probed where it runs and
   comes back on its outcome.  Fresh ``ok``/``frontend-error`` outcomes
   (the deterministic statuses) are written back by the parent.
+* Each finalized outcome folds into the trailer's totals and, by the
+  same rule, into the caller's :attr:`EngineConfig.metrics` — which is
+  what ``--metrics`` and ``/metrics`` render.
 
 ``jobs <= 1`` runs tasks inline in the calling process — same outcome
 records and caching, no subprocess machinery (and therefore no timeout
@@ -76,9 +79,8 @@ from repro.engine.worker import (
     _worker_loop,
     safe_execute,
 )
-from repro.obs import MetricsRegistry, Span, Tracer, span_from_dict
-from repro.obs.report import run_timings, verdict_of
-from repro.sat.solver import MAX_STATS
+from repro.obs import Span, Tracer, span_from_dict
+from repro.obs.report import RunTotals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.websari.pipeline import WebSSARI
@@ -119,9 +121,10 @@ class EngineConfig:
     #: per-file root span on this tracer.  None (or a disabled tracer)
     #: keeps the whole path no-op.
     tracer: Tracer | None = None
-    #: Metrics registry updated per finalized outcome (file/verdict
-    #: counters, per-stage and solver totals, duration histogram).
-    metrics: MetricsRegistry | None = None
+    #: Caller-owned run totals that each finalized outcome, and the
+    #: run's trailer at its end, also fold into — the source of the
+    #: Prometheus text.  The watch daemon keeps one across its cycles.
+    metrics: RunTotals | None = None
     #: Graceful-shutdown hook: once this event is set, no further pending
     #: task is dispatched — tasks already executing (or buffered in a
     #: worker pipe) finish normally, everything else is finalized with
@@ -317,11 +320,14 @@ class AuditEngine:
             stats.wall_seconds = time.monotonic() - started
             if run_span is not None:
                 run_span.__exit__(None, None, None)
-            if config.jsonl is not None:
+            if config.jsonl is not None or config.metrics is not None:
                 payload = stats.as_dict()
                 if not completed:
                     payload["interrupted"] = True
-                config.jsonl.write_stats(payload)
+                if config.metrics is not None:
+                    config.metrics.add_trailer(payload)
+                if config.jsonl is not None:
+                    config.jsonl.write_stats(payload)
 
         ordered = [outcomes[task.index] for task in tasks]
         return EngineResult(outcomes=ordered, stats=stats)
@@ -348,7 +354,7 @@ class AuditEngine:
         if config.tracing:
             self._stitch_trace(outcome)
         if config.metrics is not None:
-            self._observe(outcome)
+            config.metrics.add(vars(outcome))
         if config.jsonl is not None:
             config.jsonl.write_file(outcome.to_record())
         progress.update(stats)
@@ -382,79 +388,6 @@ class AuditEngine:
             root.attrs["safe"] = outcome.safe
         root.children = children
         tracer.add(root)
-
-    def _observe(self, outcome: FileOutcome) -> None:
-        metrics = self.config.metrics
-        assert metrics is not None
-        metrics.counter("repro_files_total", "audited files by outcome status").inc(
-            status=outcome.status
-        )
-        verdict = verdict_of(vars(outcome))
-        if verdict in ("safe", "vulnerable"):
-            metrics.counter("repro_verdicts_total", "verdicts by kind").inc(verdict=verdict)
-            if outcome.num_ai_assertions:
-                metrics.counter(
-                    "repro_assertions_total", "AI assertions checked by the BMC stage"
-                ).inc(outcome.num_ai_assertions)
-        metrics.counter("repro_cache_lookups_total", "result-cache probes").inc(
-            result="hit" if outcome.cached else "miss"
-        )
-        replay = getattr(outcome, "replay", None) or {}
-        replay_counter = metrics.counter(
-            "repro_replay_total", "witness-replay traces by verdict"
-        )
-        for verdict in ("confirmed", "refuted", "unsupported"):
-            if replay.get(verdict):
-                replay_counter.inc(replay[verdict], verdict=verdict)
-        for patched in ("refuted", "confirmed", "unsupported"):
-            if replay.get(f"patched_{patched}"):
-                metrics.counter(
-                    "repro_replay_patched_total",
-                    "patched witness re-runs by verdict",
-                ).inc(replay[f"patched_{patched}"], verdict=patched)
-        metrics.histogram(
-            "repro_file_seconds", "end-to-end wall seconds per file"
-        ).observe(outcome.duration)
-        stage_counter = metrics.counter(
-            "repro_stage_seconds_total", "worker CPU seconds by pipeline stage"
-        )
-        stage_histogram = metrics.histogram(
-            "repro_stage_seconds", "per-file wall seconds by pipeline stage"
-        )
-        for stage, seconds in run_timings(vars(outcome)).items():
-            stage_counter.inc(seconds, stage=stage)
-            stage_histogram.observe(seconds, stage=stage)
-        if outcome.cached:
-            return
-        solver_counter = metrics.counter(
-            "repro_solver_events_total", "aggregated SAT-solver counters"
-        )
-        backend = str(outcome.solver.get("backend", "unknown")) if outcome.solver else "unknown"
-        for name, value in (outcome.solver or {}).items():
-            # A per-file maximum is not an event count: it has no _total.
-            if name == "backend" or name in MAX_STATS or not isinstance(value, int):
-                continue
-            solver_counter.inc(value, kind=name, backend=backend)
-        includes = getattr(outcome, "includes", None) or {}
-        if includes.get("edges"):
-            metrics.counter(
-                "repro_include_edges_total", "include edges seen while splicing"
-            ).inc(includes["edges"])
-        if includes.get("unresolved"):
-            metrics.counter(
-                "repro_unresolved_includes",
-                "dynamic include paths left unresolved (coverage gap)",
-            ).inc(includes["unresolved"])
-        parse_hits = includes.get("parse_cache_hits", 0)
-        parse_misses = includes.get("parse_cache_misses", 0)
-        if parse_hits or parse_misses:
-            parse_counter = metrics.counter(
-                "repro_parse_cache_total", "parse-cache probes by result"
-            )
-            if parse_hits:
-                parse_counter.inc(parse_hits, result="hit")
-            if parse_misses:
-                parse_counter.inc(parse_misses, result="miss")
 
     # -- graceful drain -----------------------------------------------------
 
@@ -649,10 +582,6 @@ class AuditEngine:
                     while len(workers) < desired:
                         workers.append(self._spawn_worker(ctx, session))
                         stats.totals.workers_started += 1
-                        if config.metrics is not None:
-                            config.metrics.counter(
-                                "repro_worker_starts_total", "worker processes started"
-                            ).inc()
 
                     # Deal tasks breadth-first: fill every worker's first
                     # slot before buffering a second task behind anyone, so

@@ -10,8 +10,9 @@ disabled:
 * :mod:`repro.obs.tracer` — hierarchical span tracer with a
   context-manager API, monotonic clocks, thread/process-safe ids, and a
   free no-op mode (:data:`NULL_TRACER` / :data:`NULL_SPAN`).
-* :mod:`repro.obs.metrics` — counter/gauge/histogram registry with a
-  Prometheus text snapshot.
+* :mod:`repro.obs.metrics` — the Prometheus text rendering of run
+  totals, behind ``repro audit --metrics`` and the watch daemon's
+  ``/metrics``.
 * :mod:`repro.obs.export` — Chrome trace-event JSON export (loadable in
   Perfetto or ``chrome://tracing``).
 * :mod:`repro.obs.report` — consumers for ``repro audit`` JSONL streams:
@@ -31,16 +32,14 @@ from repro.obs.ledger import SlowQueryLedger
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     estimate_quantile,
+    render_prometheus,
 )
 from repro.obs.report import (
     AuditDiff,
     AuditRun,
     ReportError,
+    RunTotals,
     diff_runs,
     load_audit,
     render_diff,
@@ -62,15 +61,12 @@ from repro.obs.tracer import (
 __all__ = [
     "AuditDiff",
     "AuditRun",
-    "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
     "ReportError",
+    "RunTotals",
     "SlowQueryLedger",
     "Span",
     "Tracer",
@@ -81,6 +77,7 @@ __all__ = [
     "load_audit",
     "render_dashboard",
     "render_diff",
+    "render_prometheus",
     "render_report",
     "replay_disagreements",
     "set_tracer",

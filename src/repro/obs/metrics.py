@@ -1,110 +1,64 @@
-"""Metrics registry: counters, gauges, histograms, Prometheus text render.
+"""Prometheus text rendering of run totals.
 
-A tiny, dependency-free subset of the Prometheus client model, enough to
-snapshot an audit run::
+:func:`render_prometheus` is the one rendering behind both metrics
+surfaces — the ``repro audit --metrics FILE`` snapshot and the watch
+daemon's live ``/metrics`` — of the one fold of file records,
+:class:`~repro.obs.report.RunTotals`::
 
-    registry = MetricsRegistry()
-    registry.counter("repro_files_total", "files by outcome").inc(status="ok")
-    registry.histogram("repro_file_seconds", "per-file wall time").observe(0.12)
-    print(registry.render())
+    totals = RunTotals.of(records)
+    totals.add_trailer(trailer)
+    print(render_prometheus(totals))
 
-Every metric supports label sets passed as keyword arguments; each
-distinct label set keeps its own value.  ``render()`` emits the
-Prometheus text exposition format (``# HELP``/``# TYPE`` headers,
-``name{label="value"} 1.0`` samples, cumulative histogram buckets with a
-``+Inf`` bucket plus ``_sum``/``_count`` series).  All operations are
-thread-safe behind one registry lock.
+The output is the Prometheus text exposition format: ``# HELP``/``# TYPE``
+headers, ``name{label="value"} 1`` samples, cumulative histogram buckets
+with a ``+Inf`` bucket plus ``_sum``/``_count`` series, and
+bucket-interpolated ``<name>_quantile`` gauges for each histogram.
+Every family is present on every render, in a fixed order, so a
+scrape's schema does not depend on what the run saw.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import threading
+from collections.abc import Mapping, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING
+
+from repro.sat.solver import MAX_STATS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.report import RunTotals
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "PROMETHEUS_CONTENT_TYPE",
+    "bucket_quantiles",
     "estimate_quantile",
+    "render_prometheus",
 ]
 
 #: Canonical Prometheus text-exposition content type (format version 0.0.4)
 #: served by every ``/metrics`` endpoint in the system.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Seconds-oriented default histogram buckets (audit files span ~1 ms to minutes).
+#: Seconds-oriented histogram buckets (audit files span ~1 ms to minutes).
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
 
-#: Quantiles surfaced as ``_quantile`` gauges by ``render(quantiles=...)``.
+#: Quantiles surfaced as ``_quantile`` gauges and in report latency sections.
 DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
-LabelKey = tuple[tuple[str, str], ...]
-
-_METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-#: Label names the exposition format claims for itself: user label sets may
-#: never carry them or rendered samples become ambiguous/invalid.
-_RESERVED_LABELS = frozenset({"le", "quantile"})
-_INVALID_LABEL_CHARS = re.compile(r"[^a-zA-Z0-9_]")
-
-# Normalisation cache: _label_key runs on every inc()/observe() so repeated
-# label names must not pay the regex cost twice.
-_label_name_cache: dict[str, str] = {}
-
-
-def _validate_metric_name(name: str) -> str:
-    if not _METRIC_NAME_RE.match(name):
-        raise ValueError(
-            f"invalid metric name {name!r}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
-        )
-    return name
-
-
-def _normalize_label_name(name: str) -> str:
-    """Map an arbitrary label name onto valid exposition text, or reject it.
-
-    Names that would render as invalid or ambiguous exposition text are
-    either normalised (``sat-cache`` -> ``sat_cache``, ``9th`` -> ``_9th``)
-    or rejected outright (``le``/``quantile`` are reserved by the format,
-    ``__``-prefixed names are reserved by Prometheus internals).
-    """
-    cached = _label_name_cache.get(name)
-    if cached is not None:
-        return cached
-    if name in _RESERVED_LABELS:
-        raise ValueError(f"label name {name!r} is reserved by the exposition format")
-    if name.startswith("__"):
-        raise ValueError(f"label name {name!r} is reserved (double underscore prefix)")
-    normalized = name
-    if not _LABEL_NAME_RE.match(normalized):
-        normalized = _INVALID_LABEL_CHARS.sub("_", normalized)
-        if not normalized or not _LABEL_NAME_RE.match(normalized):
-            normalized = "_" + normalized
-    _label_name_cache[name] = normalized
-    return normalized
-
-
-def _label_key(labels: dict) -> LabelKey:
-    return tuple(
-        sorted((_normalize_label_name(str(k)), str(v)) for k, v in labels.items())
-    )
+Labels = tuple[tuple[str, str], ...]
 
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _render_labels(key: LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> str:
-    items = key + extra
-    if not items:
+def _render_labels(labels: Labels) -> str:
+    if not labels:
         return ""
-    body = ",".join(f'{name}="{_escape(value)}"' for name, value in items)
-    return "{" + body + "}"
+    return "{" + ",".join(f'{name}="{_escape(value)}"' for name, value in labels) + "}"
 
 
 def _format_value(value: float) -> str:
@@ -141,199 +95,137 @@ def estimate_quantile(
     return bounds[-1]
 
 
-class _Metric:
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str, lock: threading.Lock) -> None:
-        self.name = _validate_metric_name(name)
-        self.help = help_text
-        self._lock = lock
-        self._values: dict[LabelKey, float] = {}
-
-    def value(self, **labels) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def _samples(self) -> list[str]:
-        # Snapshot under the lock: a scrape concurrent with inc()/set()
-        # (e.g. the daemon metrics server during an active cycle) must not
-        # iterate a dict another thread is growing.
-        with self._lock:
-            values = dict(self._values)
-        lines = []
-        for key in sorted(values):
-            lines.append(f"{self.name}{_render_labels(key)} {_format_value(values[key])}")
-        return lines
-
-class Counter(_Metric):
-    """Monotonically increasing value per label set."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+def bucket_quantiles(buckets: Sequence[int]) -> dict[float, float | None]:
+    """:data:`DEFAULT_QUANTILES` estimates of per-bucket counts over
+    :data:`DEFAULT_BUCKETS` plus an overflow bucket."""
+    cumulative, count = list(accumulate(buckets[:-1])), sum(buckets)
+    return {
+        q: estimate_quantile(DEFAULT_BUCKETS, cumulative, count, q) for q in DEFAULT_QUANTILES
+    }
 
 
-class Gauge(_Metric):
-    """Set-to-current-value metric per label set."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+_HIT_MISS = ("hit", "miss")
+_REPLAY_VERDICTS = ("confirmed", "refuted", "unsupported")
 
 
-class Histogram:
-    """Cumulative-bucket histogram per label set."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        lock: threading.Lock,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        self.name = _validate_metric_name(name)
-        self.help = help_text
-        self._lock = lock
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        # label key -> (per-bucket counts, sum, count)
-        self._series: dict[LabelKey, list] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = [[0] * len(self.buckets), 0.0, 0]
-            counts, total, count = series
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
-            series[1] = total + value
-            series[2] = count + 1
-
-    def count(self, **labels) -> int:
-        series = self._series.get(_label_key(labels))
-        return series[2] if series else 0
-
-    def sum(self, **labels) -> float:
-        series = self._series.get(_label_key(labels))
-        return series[1] if series else 0.0
-
-    def quantile(self, q: float, **labels) -> float | None:
-        """Bucket-interpolated quantile estimate for one label set."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if series is None:
-                return None
-            counts, _total, count = list(series[0]), series[1], series[2]
-        return estimate_quantile(self.buckets, counts, count, q)
-
-    def _snapshot_series(self) -> dict[LabelKey, tuple]:
-        # Deep-copy under the lock: bucket count lists mutate in place.
-        with self._lock:
-            return {
-                key: (list(counts), total, count)
-                for key, (counts, total, count) in self._series.items()
-            }
-
-    def _samples(self) -> list[str]:
-        series_snapshot = self._snapshot_series()
-        lines = []
-        for key in sorted(series_snapshot):
-            counts, total, count = series_snapshot[key]
-            for bound, bucket_count in zip(self.buckets, counts):
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{_render_labels(key, (('le', _format_value(bound)),))} {bucket_count}"
-                )
-            lines.append(f"{self.name}_bucket{_render_labels(key, (('le', '+Inf'),))} {count}")
-            lines.append(f"{self.name}_sum{_render_labels(key)} {_format_value(total)}")
-            lines.append(f"{self.name}_count{_render_labels(key)} {count}")
-        return lines
-
-    def _quantile_samples(self, quantiles: tuple[float, ...]) -> list[str]:
-        series_snapshot = self._snapshot_series()
-        lines = []
-        for key in sorted(series_snapshot):
-            counts, _total, count = series_snapshot[key]
-            for q in quantiles:
-                estimate = estimate_quantile(self.buckets, counts, count, q)
-                if estimate is None:
-                    continue
-                extra = (("quantile", _format_value(q)),)
-                lines.append(
-                    f"{self.name}_quantile{_render_labels(key, extra)} "
-                    f"{_format_value(estimate)}"
-                )
-        return lines
+def _by(label: str, values: Mapping, names: Sequence[str] | None = None) -> list:
+    """``(labels, value)`` samples: one per name in ``names`` (0 when
+    absent), or one per key of ``values`` in sorted order."""
+    return [(((label, key),), values.get(key, 0)) for key in names or sorted(values)]
 
 
-class MetricsRegistry:
-    """Named metrics with get-or-create accessors and a text snapshot."""
+def _engine_families(totals: "RunTotals") -> list[tuple]:
+    """``(name, type, help, samples)`` per family; samples are
+    ``(labels, value)`` pairs, or ``(labels, buckets, sum)`` series of a
+    histogram (per-bucket counts over :data:`DEFAULT_BUCKETS` plus
+    overflow)."""
+    tally = totals.tally()
+    statuses = {"ok": tally["safe"] + tally["vulnerable"], **totals.failures()}
+    replay, includes = totals.replay, totals.includes
+    patched = {verdict: replay.get(f"patched_{verdict}", 0) for verdict in _REPLAY_VERDICTS}
+    lookups = {"hit": totals.cache_hits, "miss": totals.files - totals.cache_hits}
+    parses = {"hit": includes.get("parse_cache_hits", 0),
+              "miss": includes.get("parse_cache_misses", 0)}
+    stages = sorted(totals.stage_buckets)
+    backend = totals.backend or "unknown"
+    return [
+        ("repro_files_total", "counter", "audited files by outcome status",
+         _by("status", {status: n for status, n in statuses.items() if n})),
+        ("repro_verdicts_total", "counter", "verdicts by kind",
+         _by("verdict", tally, ("safe", "vulnerable"))),
+        ("repro_assertions_total", "counter", "AI assertions checked by the BMC stage",
+         [((), totals.assertions)]),
+        ("repro_cache_lookups_total", "counter", "result-cache probes",
+         _by("result", lookups, _HIT_MISS)),
+        ("repro_replay_total", "counter", "witness-replay traces by verdict",
+         _by("verdict", replay, _REPLAY_VERDICTS)),
+        ("repro_replay_patched_total", "counter", "patched witness re-runs by verdict",
+         _by("verdict", patched, _REPLAY_VERDICTS)),
+        ("repro_file_seconds", "histogram", "end-to-end wall seconds per file",
+         [((), totals.duration_buckets, totals.duration_seconds)]),
+        ("repro_stage_seconds", "histogram", "per-file wall seconds by pipeline stage",
+         [((("stage", stage),), totals.stage_buckets[stage], totals.stage_seconds[stage])
+          for stage in stages]),
+        ("repro_stage_seconds_total", "counter", "wall seconds by pipeline stage",
+         _by("stage", totals.stage_seconds, stages)),
+        # A per-file maximum is not an event count: it has no _total.
+        ("repro_solver_events_total", "counter", "aggregated SAT-solver counters",
+         [((("backend", backend), ("kind", kind)), value)
+          for kind, value in sorted(totals.solver.items()) if kind not in MAX_STATS]),
+        ("repro_include_edges_total", "counter", "include edges seen while splicing",
+         [((), includes.get("edges", 0))]),
+        ("repro_unresolved_includes_total", "counter",
+         "dynamic include paths left unresolved (coverage gap)",
+         [((), includes.get("unresolved", 0))]),
+        ("repro_parse_cache_total", "counter", "parse-cache probes by result",
+         _by("result", parses, _HIT_MISS)),
+        ("repro_worker_starts_total", "counter", "worker processes started",
+         [((), totals.workers_started)]),
+    ]
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._metrics: dict[str, object] = {}
 
-    def _get_or_create(self, name: str, factory, kind: str):
-        _validate_metric_name(name)
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = factory()
-            elif metric.kind != kind:  # type: ignore[attr-defined]
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"  # type: ignore[attr-defined]
-                )
-        return metric
+def _watch_families(health: Mapping) -> list[tuple]:
+    """The ``repro_watch_*`` families of a watch loop's health payload."""
+    idle = health["idle_polls"]
+    polls = {"dirty": health["polls"] - idle, "idle": idle}
+    return [
+        ("repro_watch_polls_total", "counter", "tree polls by outcome", _by("outcome", polls)),
+        ("repro_watch_cycles_total", "counter", "completed re-audit cycles",
+         [((), health["cycles"])]),
+        ("repro_watch_tracked_files", "gauge", "files in the current snapshot",
+         [((), health["tracked_files"])]),
+        ("repro_watch_dirty_files", "gauge", "dirty files in the last cycle",
+         [((), health["last_dirty"])]),
+        ("repro_watch_cycle_seconds", "gauge", "engine wall seconds of the last cycle",
+         [((), health["last_cycle_seconds"])]),
+        ("repro_watch_includers_invalidated_total", "counter",
+         "files re-audited because they include a dirty file",
+         [((), health["includers_invalidated"])]),
+    ]
 
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help_text, self._lock), "counter"
-        )
 
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help_text, self._lock), "gauge")
+def _exposition(families: list[tuple]) -> list[str]:
+    """The text lines of ``families``; each histogram is followed by its
+    ``<name>_quantile`` gauge family."""
+    lines: list[str] = []
+    for name, kind, help_text, samples in families:
+        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        if kind != "histogram":
+            lines += [f"{name}{_render_labels(labels)} {_format_value(v)}" for labels, v in samples]
+            continue
+        quantiles = [
+            f"# HELP {name}_quantile bucket-interpolated quantiles of {name}",
+            f"# TYPE {name}_quantile gauge",
+        ]
+        for labels, buckets, total in samples:
+            count = sum(buckets)
+            for bound, cumulative in zip(DEFAULT_BUCKETS, accumulate(buckets[:-1])):
+                le = (("le", _format_value(bound)),)
+                lines.append(f"{name}_bucket{_render_labels(labels + le)} {cumulative}")
+            lines += [
+                f"{name}_bucket{_render_labels(labels + (('le', '+Inf'),))} {count}",
+                f"{name}_sum{_render_labels(labels)} {_format_value(total)}",
+                f"{name}_count{_render_labels(labels)} {count}",
+            ]
+            quantiles += [
+                f"{name}_quantile{_render_labels(labels + (('quantile', _format_value(q)),))} "
+                f"{_format_value(estimate)}"
+                for q, estimate in bucket_quantiles(buckets).items()
+                if estimate is not None
+            ]
+        lines += quantiles
+    return lines
 
-    def histogram(
-        self, name: str, help_text: str = "", buckets: tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help_text, self._lock, buckets), "histogram"
-        )
 
-    def render(self, quantiles: tuple[float, ...] = ()) -> str:
-        """Prometheus text exposition snapshot of every registered metric.
+def render_prometheus(totals: "RunTotals", watch: Mapping | None = None) -> str:
+    """The Prometheus text snapshot of ``totals``.
 
-        With ``quantiles``, each histogram additionally exposes
-        bucket-interpolated ``<name>_quantile{quantile="0.x"}`` gauges.
-        """
-        lines: list[str] = []
-        with self._lock:
-            metrics = sorted(self._metrics.items())
-        for name, metric in metrics:
-            if metric.help:  # type: ignore[attr-defined]
-                lines.append(f"# HELP {name} {metric.help}")  # type: ignore[attr-defined]
-            lines.append(f"# TYPE {name} {metric.kind}")  # type: ignore[attr-defined]
-            lines.extend(metric._samples())  # type: ignore[attr-defined]
-            if quantiles and metric.kind == "histogram":
-                quantile_lines = metric._quantile_samples(tuple(quantiles))  # type: ignore[attr-defined]
-                if quantile_lines:
-                    lines.append(f"# TYPE {name}_quantile gauge")
-                    lines.extend(quantile_lines)
-        return "\n".join(lines) + ("\n" if lines else "")
+    With ``watch`` (a :meth:`~repro.daemon.loop.WatchLoop.health`
+    payload), the ``repro_watch_*`` families are rendered from its
+    counters too.  ``totals`` is rendered under its lock, so a render on
+    another thread never sees an outcome half folded in.
+    """
+    watch_families = _watch_families(watch) if watch is not None else []
+    with totals.lock:
+        lines = _exposition(_engine_families(totals) + watch_families)
+    return "".join(line + "\n" for line in lines)

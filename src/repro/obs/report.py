@@ -7,7 +7,8 @@ file plus a final ``{"type": "stats", ...}`` trailer (see
 * :class:`RunTotals` — the one fold of file records into run totals
   (verdict tally, cache hits, stage seconds and latency buckets, solver,
   include and replay counters, slow queries).  The engine's trailer and
-  closing lines, ``repro report`` and the HTML dashboard all read it;
+  closing lines, ``repro report``, the HTML dashboard and the Prometheus
+  text (:mod:`repro.obs.metrics`) all read it;
 * :func:`summarize_run` — one stream's summary as a machine-readable
   dict (``repro report --json``), which :func:`render_report` prints;
 * :func:`diff_runs` / :func:`render_diff` — new / fixed / regressed
@@ -20,14 +21,14 @@ All are exposed through the ``repro report`` subcommand.
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
 
 from repro.obs.ledger import SlowQueryLedger
-from repro.obs.metrics import DEFAULT_BUCKETS, estimate_quantile
+from repro.obs.metrics import DEFAULT_BUCKETS, bucket_quantiles
 from repro.sat.solver import accumulate_stats
 
 __all__ = [
@@ -51,9 +52,6 @@ __all__ = [
 
 #: Pipeline stages in the order every run view lists them.
 STAGES = ("scan", "parse", "filter", "ai", "sat", "replay")
-
-#: Quantiles surfaced in report latency breakdowns.
-_REPORT_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def stage_order(stages: Iterable[str]) -> list[str]:
@@ -99,6 +97,10 @@ def _add_numbers(totals: dict, section) -> None:
                 totals[name] = totals.get(name, 0) + value
 
 
+def _new_buckets() -> list[int]:
+    return [0] * (len(DEFAULT_BUCKETS) + 1)
+
+
 @dataclass
 class RunTotals:
     """Run totals folded from file records by one rule.
@@ -108,8 +110,9 @@ class RunTotals:
     answer.  Every record adds the stage seconds it spent in this run
     (:func:`run_timings`: a cached record only its scan).  Only a record
     whose stages ran in this run (``cached`` false) adds solver and
-    include counters and slow queries.  Solver counters fold by their ``SolverStats`` rule (sum,
-    or max for ``max_decision_level``).  Stage seconds are rounded to
+    include counters, its solver backend and slow queries.  Solver
+    counters fold by their ``SolverStats`` rule (sum, or max for
+    ``max_decision_level``).  Stage seconds and durations are rounded to
     the record's 6 places before they add up, so a fold over live
     outcomes and a fold over the JSONL records they became agree.
     """
@@ -118,11 +121,19 @@ class RunTotals:
     cache_hits: int = 0
     #: ``safe``, ``vulnerable``, and one count per failure status.
     verdicts: dict[str, int] = field(default_factory=dict)
+    #: Summed ``num_ai_assertions``.
+    assertions: int = 0
+    #: Per-file ``duration`` counts over :data:`DEFAULT_BUCKETS` (plus an
+    #: overflow bucket), and their sum.
+    duration_buckets: list[int] = field(default_factory=_new_buckets)
+    duration_seconds: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: Per-stage counts over :data:`DEFAULT_BUCKETS` (plus an overflow
-    #: bucket), the same buckets the ``/metrics`` histograms use.
+    #: Per-stage counts over the same buckets.
     stage_buckets: dict[str, list[int]] = field(default_factory=dict)
     solver: dict[str, int] = field(default_factory=dict)
+    #: The ``solver.backend`` of the records that add solver counters
+    #: (``"mixed"`` if they name more than one).
+    backend: str = ""
     includes: dict[str, int] = field(default_factory=dict)
     replay: dict[str, int] = field(default_factory=dict)
     slow_queries: SlowQueryLedger = field(default_factory=SlowQueryLedger)
@@ -130,6 +141,9 @@ class RunTotals:
     #: file record carries, summed over stats trailers (0 for a run that
     #: reused a kept pool or ran inline).
     workers_started: int = 0
+    #: Held while a record or trailer folds in, so a reader on another
+    #: thread (the live ``/metrics`` render) sees whole records only.
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @classmethod
     def of(cls, records: Iterable[Mapping]) -> "RunTotals":
@@ -140,27 +154,38 @@ class RunTotals:
 
     def add(self, record: Mapping) -> None:
         """Fold one file record (or a ``FileOutcome``'s fields) in."""
-        self.files += 1
-        verdict = verdict_of(record)
-        self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
-        _add_numbers(self.replay, record.get("replay"))
-        for stage, seconds in run_timings(record).items():
-            seconds = round(seconds, 6)
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-            buckets = self.stage_buckets.setdefault(stage, [0] * (len(DEFAULT_BUCKETS) + 1))
-            buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
-        if record.get("cached"):
-            self.cache_hits += 1
-            return
-        if isinstance(record.get("solver"), dict):
-            accumulate_stats(self.solver, record["solver"])
-        _add_numbers(self.includes, record.get("includes"))
-        self.slow_queries.merge(record.get("slow_queries"))
+        with self.lock:
+            self.files += 1
+            verdict = verdict_of(record)
+            self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
+            if _is_number(record.get("num_ai_assertions")):
+                self.assertions += int(record["num_ai_assertions"])
+            if _is_number(record.get("duration")):
+                duration = round(record["duration"], 6)
+                self.duration_seconds += duration
+                self.duration_buckets[bisect_left(DEFAULT_BUCKETS, duration)] += 1
+            _add_numbers(self.replay, record.get("replay"))
+            for stage, seconds in run_timings(record).items():
+                seconds = round(seconds, 6)
+                self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+                buckets = self.stage_buckets.setdefault(stage, _new_buckets())
+                buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
+            if record.get("cached"):
+                self.cache_hits += 1
+                return
+            solver = record.get("solver")
+            if isinstance(solver, dict) and solver:
+                accumulate_stats(self.solver, solver)
+                backend = str(solver.get("backend", "unknown"))
+                self.backend = backend if self.backend in ("", backend) else "mixed"
+            _add_numbers(self.includes, record.get("includes"))
+            self.slow_queries.merge(record.get("slow_queries"))
 
     def add_trailer(self, trailer: Mapping) -> None:
         """Fold one stats trailer's run-level counter in."""
         if _is_number(trailer.get("workers_started")):
-            self.workers_started += int(trailer["workers_started"])
+            with self.lock:
+                self.workers_started += int(trailer["workers_started"])
 
     def failures(self) -> dict[str, int]:
         """Files without a verdict, by status."""
@@ -201,13 +226,11 @@ class RunTotals:
         out: dict[str, dict] = {}
         for stage in stage_order(self.stage_buckets):
             buckets = self.stage_buckets[stage]
-            count = sum(buckets)
-            cumulative = list(accumulate(buckets[:-1]))
             out[stage] = {
-                "count": count,
+                "count": sum(buckets),
                 **{
-                    f"p{int(q * 100)}": estimate_quantile(DEFAULT_BUCKETS, cumulative, count, q)
-                    for q in _REPORT_QUANTILES
+                    f"p{int(q * 100)}": estimate
+                    for q, estimate in bucket_quantiles(buckets).items()
                 },
                 "buckets": list(buckets),
             }

@@ -85,7 +85,8 @@ class TestOnceMode:
         assert sorted(parsed) == sorted(project.source(p) for p in project.paths())
 
     def test_no_metrics_registry_without_a_server(self, tmp_path, corpus, monkeypatch, capsys):
-        # Nothing could read the registry, so none is built, and the
+        # Nothing could read the run totals, so the loop gets none and
+        # the engine folds each outcome only into its own trailer; the
         # cache dir holds no include graph either.
         import repro.daemon as daemon_module
 

@@ -431,10 +431,9 @@ class TestIncludeInvalidation:
         assert outcome.filename == str(driver.path("a.php"))
 
     def test_health_and_metrics_expose_invalidations(self, tmp_path):
-        from repro.obs import MetricsRegistry
+        from repro.obs import RunTotals, render_prometheus
 
-        registry = MetricsRegistry()
-        clock, driver, loop, _graph = self.make_graph_loop(tmp_path, metrics=registry)
+        clock, driver, loop, _graph = self.make_graph_loop(tmp_path, metrics=RunTotals())
         driver.write("common.php", self.COMMON)
         driver.write("a.php", self.INCLUDER)
         loop.run_cycle()
@@ -442,21 +441,47 @@ class TestIncludeInvalidation:
         driver.write("common.php", "<?php $c = 'v2';\n")
         loop.run_cycle()
         assert loop.health()["includers_invalidated"] == 1
-        assert "repro_watch_includers_invalidated_total 1" in registry.render()
+        text = render_prometheus(loop.metrics, loop.health())
+        assert "repro_watch_includers_invalidated_total 1" in text
 
 
 class TestMetricsWiring:
     def test_watch_metrics_exposed(self, tmp_path):
-        from repro.obs import MetricsRegistry
+        from repro.obs import RunTotals, render_prometheus
 
-        registry = MetricsRegistry()
-        clock, driver, loop = make_loop(tmp_path, metrics=registry)
+        clock, driver, loop = make_loop(tmp_path, metrics=RunTotals())
         driver.write("a.php", VULN)
         loop.run_cycle()
         loop.run_cycle()  # idle
-        text = registry.render()
+        text = render_prometheus(loop.metrics, loop.health())
         assert 'repro_watch_polls_total{outcome="dirty"} 1' in text
         assert 'repro_watch_polls_total{outcome="idle"} 1' in text
         assert "repro_watch_cycles_total 1" in text
         assert "repro_watch_dirty_files 1" in text
         assert 'repro_files_total{status="ok"} 1' in text
+
+    def test_mid_cycle_scrape_shows_the_cycles_finished_files(self, tmp_path, monkeypatch):
+        """A scrape while a cycle runs sees the files it finished, and
+        counts the cycle only once its stream is written."""
+        import repro.engine.worker as worker_module
+        from repro.obs import RunTotals, render_prometheus
+
+        clock, driver, loop = make_loop(tmp_path, metrics=RunTotals())
+        driver.write("a.php", VULN)
+        driver.write("b.php", VULN)
+        scrapes = []
+        real = worker_module.execute_task
+
+        def scrape_then_run(task, websari, want_report=False):
+            scrapes.append(render_prometheus(loop.metrics, loop.health()))
+            return real(task, websari, want_report)
+
+        monkeypatch.setattr(worker_module, "execute_task", scrape_then_run)
+        cycle = loop.run_cycle()
+        first, second = scrapes
+        assert "repro_files_total{" not in first
+        assert 'repro_files_total{status="ok"} 1' in second
+        assert 'repro_watch_polls_total{outcome="dirty"} 1' in second
+        assert "repro_watch_cycles_total 0" in second
+        assert cycle.stream_path.exists()
+        assert "repro_watch_cycles_total 1" in render_prometheus(loop.metrics, loop.health())

@@ -463,7 +463,7 @@ class TestSolverStatsInOutcomes:
         largest, and it is no event count for ``repro_solver_events_total``."""
         from repro.cli import main
         from repro.engine import FileOutcome
-        from repro.obs import MetricsRegistry
+        from repro.obs import RunTotals, render_prometheus
 
         def deepest(level):
             return lambda task, websari, want_report: FileOutcome(
@@ -473,16 +473,16 @@ class TestSolverStatsInOutcomes:
 
         patch_execute(monkeypatch, {"a.php": deepest(3), "b.php": deepest(5)})
         out = tmp_path / "audit.jsonl"
-        registry = MetricsRegistry()
+        totals = RunTotals()
         with JsonlSink(out) as sink:
-            AuditEngine(config=EngineConfig(jobs=1, jsonl=sink, metrics=registry)).run(
+            AuditEngine(config=EngineConfig(jobs=1, jsonl=sink, metrics=totals)).run(
                 make_tasks([("a.php", SAFE), ("b.php", SAFE)])
             )
         trailer = json.loads(out.read_text().splitlines()[-1])
         assert trailer["solver"] == {"max_decision_level": 5, "solve_calls": 2}
         assert main(["report", str(out), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["solver"] == trailer["solver"]
-        text = registry.render()
+        text = render_prometheus(totals)
         assert 'kind="solve_calls"} 2' in text
         assert 'kind="max_decision_level"' not in text
 
@@ -493,11 +493,9 @@ class TestSolverStatsInOutcomes:
 
 class TestTracing:
     def _config(self, jobs=1):
-        from repro.obs import MetricsRegistry, Tracer
+        from repro.obs import RunTotals, Tracer
 
-        return EngineConfig(
-            jobs=jobs, tracer=Tracer(enabled=True), metrics=MetricsRegistry()
-        )
+        return EngineConfig(jobs=jobs, tracer=Tracer(enabled=True), metrics=RunTotals())
 
     def _file_roots(self, config):
         roots = config.tracer.take_roots()
@@ -535,7 +533,9 @@ class TestTracing:
     def test_metrics_observed(self):
         config = self._config(jobs=1)
         AuditEngine(config=config).run(make_tasks([("v.php", VULN), ("b.php", BROKEN)]))
-        text = config.metrics.render()
+        from repro.obs import render_prometheus
+
+        text = render_prometheus(config.metrics)
         assert 'repro_files_total{status="ok"} 1' in text
         assert 'repro_files_total{status="frontend-error"} 1' in text
         assert 'repro_verdicts_total{verdict="vulnerable"} 1' in text
@@ -609,18 +609,26 @@ class TestInterruptedRun:
         def interrupt(task, websari, want_report):
             raise KeyboardInterrupt
 
+        from repro.obs import RunTotals, render_prometheus
+
         patch_execute(monkeypatch, {"stop.php": interrupt})
         out = tmp_path / "audit.jsonl"
         tasks = make_tasks([("v.php", VULN), ("stop.php", SAFE), ("never.php", SAFE)])
+        metrics = RunTotals()
         with JsonlSink(out) as sink:
             with pytest.raises(KeyboardInterrupt):
-                AuditEngine(config=EngineConfig(jobs=1, jsonl=sink)).run(tasks)
+                AuditEngine(config=EngineConfig(jobs=1, jsonl=sink, metrics=metrics)).run(tasks)
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert lines, "completed records must be flushed before the interrupt"
         trailer = lines[-1]
         assert trailer["type"] == "stats"
         assert trailer["interrupted"] is True
         assert trailer["completed"] == 1
+        # The metrics hold what finished, exactly as the stream folds it.
+        streamed = RunTotals.of(lines[:-1])
+        streamed.add_trailer(trailer)
+        assert render_prometheus(metrics) == render_prometheus(streamed)
+        assert 'repro_files_total{status="ok"} 1' in render_prometheus(metrics)
 
     def test_sink_is_reusable_safe_after_close(self, tmp_path):
         sink = JsonlSink(tmp_path / "a.jsonl")

@@ -1,5 +1,5 @@
-"""Tests for the observability layer (repro.obs): span tracer, metrics
-registry, and Chrome trace-event export."""
+"""Tests for the observability layer (repro.obs): span tracer and
+Chrome trace-event export."""
 
 import json
 import os
@@ -10,7 +10,6 @@ import pytest
 from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
-    MetricsRegistry,
     Span,
     Tracer,
     chrome_trace_events,
@@ -219,62 +218,3 @@ class TestChromeExport:
         write_chrome_trace(out, [])
         assert json.loads(out.read_text())["traceEvents"] == []
 
-
-class TestMetrics:
-    def test_counter_increments_per_label_set(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("files_total", "files")
-        counter.inc(status="ok")
-        counter.inc(status="ok")
-        counter.inc(status="crash")
-        assert counter.value(status="ok") == 2
-        assert counter.value(status="crash") == 1
-        assert counter.value(status="missing") == 0
-
-    def test_counter_rejects_negative(self):
-        counter = MetricsRegistry().counter("c")
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_set_and_inc(self):
-        gauge = MetricsRegistry().gauge("g")
-        gauge.set(5)
-        gauge.inc(2)
-        assert gauge.value() == 7
-
-    def test_histogram_buckets_cumulative(self):
-        hist = MetricsRegistry().histogram("h", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.count() == 4
-        assert hist.sum() == pytest.approx(55.55)
-        # bucket counts: <=0.1 -> 1, <=1 -> 2, <=10 -> 3, +Inf -> 4
-        lines = hist._samples()
-        assert 'h_bucket{le="0.1"} 1' in lines
-        assert 'h_bucket{le="1"} 2' in lines
-        assert 'h_bucket{le="10"} 3' in lines
-        assert 'h_bucket{le="+Inf"} 4' in lines
-
-    def test_registry_get_or_create_and_kind_conflict(self):
-        registry = MetricsRegistry()
-        assert registry.counter("m") is registry.counter("m")
-        with pytest.raises(ValueError):
-            registry.gauge("m")
-
-    def test_render_prometheus_text(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_files_total", "files by status").inc(status="ok")
-        registry.histogram("repro_file_seconds", "wall time").observe(0.25)
-        text = registry.render()
-        assert "# HELP repro_files_total files by status" in text
-        assert "# TYPE repro_files_total counter" in text
-        assert 'repro_files_total{status="ok"} 1' in text
-        assert "# TYPE repro_file_seconds histogram" in text
-        assert "repro_file_seconds_sum 0.25" in text
-        assert "repro_file_seconds_count 1" in text
-        assert text.endswith("\n")
-
-    def test_label_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(path='a"b\\c')
-        assert 'path="a\\"b\\\\c"' in registry.render()
